@@ -1,29 +1,25 @@
-"""SIMT correctness tooling for the simulated GPU.
+"""Static + runtime correctness analyzers (see ``docs/analysis.md``).
 
-Two complementary layers (see ``docs/analysis.md``):
+Three families, each a static lint paired with a runtime twin, share one
+framework (:mod:`repro.analysis._framework`: the :class:`Finding` record,
+the ``# <tag>: ignore[CODE]`` suppression parser, the path linter behind
+``gpumem analyze``, and the ``Tracker`` base):
 
-- :mod:`repro.analysis.kernel_lint` — static AST lint over kernel generator
-  functions: barrier divergence, non-atomic shared writes, unaccounted
-  loops, dtype discipline. Run via ``gpumem analyze [paths...]``; wired
-  into CI as a gate.
-- :mod:`repro.analysis.sanitizer` — opt-in runtime race/divergence
-  detector: attach a :class:`Sanitizer` to a
-  :class:`repro.gpu.kernel.Device` and every shared-memory / array-argument
-  access is checked, per barrier phase, for write-write and read-write
-  conflicts with thread/block/phase provenance. The ``sanitized_device``
-  pytest fixture (``repro.analysis.pytest_sanitizer``) packages this for
-  kernel tests.
+- SIMT kernels (tag ``simt``): :mod:`repro.analysis.kernel_lint` (KL
+  rules: barrier divergence, non-atomic shared writes, unaccounted loops,
+  dtype discipline) and :mod:`repro.analysis.sanitizer`, a per-barrier
+  race/divergence detector attached to a :class:`repro.gpu.kernel.Device`;
+- host locks (``conc``): :mod:`repro.analysis.concurrency_lint` (CL rules)
+  and :mod:`repro.analysis.lock_tracker`, a lock-order tracker behind
+  ``new_lock``;
+- IPC resource lifetimes (``res``): :mod:`repro.analysis.resource_lint`
+  (RL rules) and :mod:`repro.analysis.resource_tracker`, a live table of
+  shm segments, store mmaps and file locks.
 
-Two further static+runtime twins follow the same pattern (imported as
-submodules to keep this package import light): the host concurrency pair
-(:mod:`repro.analysis.concurrency_lint` /
-:mod:`repro.analysis.lock_tracker`, CL1xx) and the resource-lifecycle
-pair (:mod:`repro.analysis.resource_lint` /
-:mod:`repro.analysis.resource_tracker`, RL1xx).
+:mod:`repro.analysis.pytest_plugin` provides the fixtures for all three.
 """
 
-from repro.analysis.kernel_lint import (
-    RULES,
+from repro.analysis._framework import (
     Finding,
     findings_to_json,
     format_findings,
@@ -31,6 +27,7 @@ from repro.analysis.kernel_lint import (
     lint_paths,
     lint_source,
 )
+from repro.analysis.kernel_lint import RULES
 from repro.analysis.sanitizer import Access, RaceFinding, Sanitizer, TrackedArray
 
 __all__ = [

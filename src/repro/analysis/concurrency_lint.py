@@ -17,6 +17,11 @@ on the lock's creation line::
 
     self._lock = threading.Lock()  # guards: _row_indexes, _hits, _misses
 
+A subclass that inherits its lock declares what the lock guards for it
+with a class-level annotation::
+
+    _lock: threading.Lock  # guards: _edges, _n_locks
+
 Module-level locks use the same convention::
 
     _session_cache_lock = threading.Lock()  # guards: _session_cache
@@ -71,13 +76,15 @@ import os
 import re
 from dataclasses import dataclass
 
-__all__ = [
-    "CL_RULES",
-    "HostFinding",
-    "lint_host_source",
-    "lint_host_file",
-    "lint_host_paths",
-]
+from repro.analysis._framework import (
+    Finding,
+    LintFamily,
+    Source,
+    final_name,
+    walk_no_nested_functions,
+)
+
+__all__ = ["CL_RULES", "FAMILY"]
 
 #: rule id -> (severity, short description)
 CL_RULES = {
@@ -107,24 +114,6 @@ _CTOR_METHODS = {"__init__", "__new__", "__post_init__"}
 
 
 @dataclass(frozen=True)
-class HostFinding:
-    """One host-concurrency finding (CI-gate-ready provenance)."""
-
-    rule: str
-    severity: str
-    path: str
-    line: int
-    col: int
-    message: str
-    scope: str | None = None
-
-    def format(self) -> str:
-        where = f"{self.path}:{self.line}:{self.col}"
-        scope = f" [{self.scope}]" if self.scope else ""
-        return f"{where}: {self.rule} {self.severity}:{scope} {self.message}"
-
-
-@dataclass(frozen=True)
 class LockEdge:
     """``held -> acquired`` observation: one nesting site in the source."""
 
@@ -136,36 +125,12 @@ class LockEdge:
     scope: str
 
 
-def _final_name(expr: ast.AST) -> str | None:
-    """The trailing identifier of a Name/Attribute chain, else None."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
 def _looks_like_lock_ctor(value: ast.AST) -> bool:
     """RHS that plainly constructs a lock (threading.Lock(), new_lock(...))."""
     if not isinstance(value, ast.Call):
         return False
-    name = _final_name(value.func)
+    name = final_name(value.func)
     return name in _LOCK_CTORS or name in _LOCK_FACTORIES
-
-
-def _walk_no_nested_functions(node: ast.AST):
-    """``ast.walk`` that does not descend into nested function/class defs."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-            ):
-                continue
-            stack.append(child)
 
 
 def _blocking_call(node: ast.Call) -> str | None:
@@ -182,24 +147,24 @@ def _blocking_call(node: ast.Call) -> str | None:
     attr = func.attr
     recv = func.value
     if attr == "sleep":
-        return "time.sleep()" if _final_name(recv) == "time" else None
+        return "time.sleep()" if final_name(recv) == "time" else None
     if attr == "result":
         return "Future.result()"
     if attr == "wait":
-        return f"{_final_name(recv) or '<obj>'}.wait()"
+        return f"{final_name(recv) or '<obj>'}.wait()"
     if attr == "acquire":
-        return f"{_final_name(recv) or '<lock>'}.acquire()"
+        return f"{final_name(recv) or '<lock>'}.acquire()"
     if attr == "join":
         # str.join / os.path.join are not blocking; Thread/Process.join is.
         if isinstance(recv, ast.Constant):
             return None
-        if _final_name(recv) in ("os", "path", "posixpath", "ntpath"):
+        if final_name(recv) in ("os", "path", "posixpath", "ntpath"):
             return None
-        return f"{_final_name(recv) or '<obj>'}.join()"
+        return f"{final_name(recv) or '<obj>'}.join()"
     if attr == "get":
         # dict.get is everywhere; only a timeout/block kwarg marks a queue.
         if any(k.arg in ("timeout", "block") for k in node.keywords):
-            return f"{_final_name(recv) or '<queue>'}.get(timeout=...)"
+            return f"{final_name(recv) or '<queue>'}.get(timeout=...)"
         return None
     return None
 
@@ -207,13 +172,13 @@ def _blocking_call(node: ast.Call) -> str | None:
 class _ModuleAnalysis:
     """One module's pass: findings (CL101/103/104) plus lock-order edges."""
 
-    def __init__(self, tree: ast.Module, path: str, lines: list[str]):
-        self.tree = tree
-        self.path = path
-        self.lines = lines
-        self.modname = os.path.splitext(os.path.basename(path))[0]
-        self.findings: list[HostFinding] = []
-        self.edges: list[LockEdge] = []
+    def __init__(self, source: Source, emit, edges: list[LockEdge]):
+        self.tree = source.tree
+        self.path = source.path
+        self.lines = source.lines
+        self.emit = emit
+        self.modname = os.path.splitext(os.path.basename(self.path))[0]
+        self.edges = edges
         #: module-level lock names
         self.module_locks: set[str] = set()
         #: module-level mutable names (containers, or global-rebound scalars)
@@ -255,7 +220,7 @@ class _ModuleAnalysis:
                      ast.SetComp),
                 ) or (
                     isinstance(value, ast.Call)
-                    and _final_name(value.func) in _MUTABLE_CTORS
+                    and final_name(value.func) in _MUTABLE_CTORS
                 ):
                     self.module_mutables.add(name)
         # Scalars only count as mutable state once a function rebinds them
@@ -265,20 +230,6 @@ class _ModuleAnalysis:
                 for name in node.names:
                     if name in self.module_names and name not in self.module_locks:
                         self.module_mutables.add(name)
-
-    # -- finding / edge emission --------------------------------------------
-    def _add(self, rule: str, node: ast.AST, message: str, scope: str) -> None:
-        self.findings.append(
-            HostFinding(
-                rule=rule,
-                severity=CL_RULES[rule][0],
-                path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                message=message,
-                scope=scope,
-            )
-        )
 
     def run(self) -> None:
         for node in self.tree.body:
@@ -388,7 +339,7 @@ class _ScopeWalker:
 
     # -- expression-level checks ----------------------------------------------
     def _check_exprs(self, node: ast.AST, held: tuple[str, ...]) -> None:
-        for sub in _walk_no_nested_functions(node):
+        for sub in walk_no_nested_functions(node):
             if (
                 self.check_guards
                 and isinstance(sub, ast.Attribute)
@@ -399,7 +350,7 @@ class _ScopeWalker:
                 guard = self.guarded_by[sub.attr]
                 key = f"{self.class_name}.{guard}"
                 if key not in held:
-                    self.m._add(
+                    self.m.emit(
                         "CL101", sub,
                         f"self.{sub.attr} is declared '# guards:' by "
                         f"self.{guard} but is accessed without holding it "
@@ -409,7 +360,7 @@ class _ScopeWalker:
             if isinstance(sub, ast.Call) and held:
                 label = _blocking_call(sub)
                 if label is not None:
-                    self.m._add(
+                    self.m.emit(
                         "CL103", sub,
                         f"blocking call {label} while holding "
                         f"{', '.join(held)} — waiters stall behind the "
@@ -447,7 +398,7 @@ class _ScopeWalker:
                     and t.value.id in self.m.module_mutables
                 ):
                     mutated.append((t.value.id, t))
-        for sub in _walk_no_nested_functions(stmt):
+        for sub in walk_no_nested_functions(stmt):
             if (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
@@ -460,7 +411,7 @@ class _ScopeWalker:
             return
         for name, node in mutated:
             locks = ", ".join(sorted(self.m.module_locks)) or "none declared"
-            self.m._add(
+            self.m.emit(
                 "CL104", node,
                 f"module-level mutable {name!r} mutated without holding a "
                 f"module lock (module locks: {locks})",
@@ -480,9 +431,14 @@ class _ClassChecker:
 
     def _harvest(self) -> None:
         for method in self.cls.body:
+            if isinstance(method, ast.AnnAssign) and isinstance(method.target, ast.Name):
+                # ``_lock: threading.Lock  # guards: ...`` on an inherited lock
+                for attr in self.m._guards_on_line(method.lineno) or ():
+                    self.guarded_by[attr] = method.target.id
+                continue
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for node in _walk_no_nested_functions(method):
+            for node in walk_no_nested_functions(method):
                 if not isinstance(node, ast.Assign):
                     continue
                 for target in node.targets:
@@ -520,7 +476,7 @@ class _ClassChecker:
 # --------------------------------------------------------------------------
 
 
-def _order_cycles(edges: list[LockEdge]) -> list[HostFinding]:
+def _order_cycles(edges: list[LockEdge]) -> list[Finding]:
     """One CL102 finding per distinct cycle in the aggregated order graph."""
     graph: dict[str, dict[str, LockEdge]] = {}
     for edge in edges:
@@ -539,7 +495,7 @@ def _order_cycles(edges: list[LockEdge]) -> list[HostFinding]:
                     stack.append((nxt, path + [edge]))
         return None
 
-    findings: list[HostFinding] = []
+    findings: list[Finding] = []
     reported: set[frozenset] = set()
     for edge in edges:
         back = path_between(edge.dst, edge.src)
@@ -555,7 +511,7 @@ def _order_cycles(edges: list[LockEdge]) -> list[HostFinding]:
             for e in cycle
         )
         findings.append(
-            HostFinding(
+            Finding(
                 rule="CL102",
                 severity=CL_RULES["CL102"][0],
                 path=edge.path,
@@ -571,78 +527,9 @@ def _order_cycles(edges: list[LockEdge]) -> list[HostFinding]:
     return findings
 
 
-# --------------------------------------------------------------------------
-# suppression + entry points
-# --------------------------------------------------------------------------
+def _check(source: Source, emit, edges: list) -> None:
+    _ModuleAnalysis(source, emit, edges).run()
 
 
-def _suppressed(finding: HostFinding, lines: list[str]) -> bool:
-    if not (1 <= finding.line <= len(lines)):
-        return False
-    text = lines[finding.line - 1]
-    if "conc: ignore" not in text:
-        return False
-    marker = text.split("conc: ignore", 1)[1]
-    if marker.startswith("["):
-        rules = marker[1 : marker.index("]")] if "]" in marker else ""
-        return finding.rule in {r.strip() for r in rules.split(",")}
-    return True
-
-
-def _analyze(source: str, path: str) -> tuple[list[HostFinding], list[LockEdge], list[str]]:
-    tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    analysis = _ModuleAnalysis(tree, path, lines)
-    analysis.run()
-    kept = [f for f in analysis.findings if not _suppressed(f, lines)]
-    return kept, analysis.edges, lines
-
-
-def lint_host_source(source: str, path: str = "<string>") -> list[HostFinding]:
-    """Lint one module's source (CL102 restricted to this module's graph)."""
-    findings, edges, lines = _analyze(source, path)
-    findings += [f for f in _order_cycles(edges) if not _suppressed(f, lines)]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def lint_host_file(path: str) -> list[HostFinding]:
-    """Lint one ``.py`` file (see :func:`lint_host_source`)."""
-    with open(path, encoding="utf-8") as fh:
-        return lint_host_source(fh.read(), path)
-
-
-def lint_host_paths(paths, *, select=None, ignore=None) -> list[HostFinding]:
-    """Lint files/trees; the CL102 order graph aggregates across all files."""
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, names in os.walk(p):
-                files.extend(
-                    os.path.join(root, n) for n in sorted(names)
-                    if n.endswith(".py")
-                )
-        else:
-            files.append(p)
-    findings: list[HostFinding] = []
-    edges: list[LockEdge] = []
-    lines_by_path: dict[str, list[str]] = {}
-    for f in sorted(set(files)):
-        with open(f, encoding="utf-8") as fh:
-            source = fh.read()
-        file_findings, file_edges, lines = _analyze(source, f)
-        findings.extend(file_findings)
-        edges.extend(file_edges)
-        lines_by_path[f] = lines
-    findings.extend(
-        f for f in _order_cycles(edges)
-        if not _suppressed(f, lines_by_path.get(f.path, []))
-    )
-    if select:
-        allowed = set(select)
-        findings = [f for f in findings if f.rule in allowed]
-    if ignore:
-        blocked = set(ignore)
-        findings = [f for f in findings if f.rule not in blocked]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+#: CL102 runs over the lock-order graph aggregated across every linted file
+FAMILY = LintFamily(tag="conc", rules=CL_RULES, check=_check, cross_file=_order_cycles)

@@ -46,7 +46,8 @@ Rules
     class.
 
 A finding on a line whose trailing comment contains ``simt: ignore`` (or
-``simt: ignore[KL103]`` for one rule) is suppressed.
+``simt: ignore[KL103]`` for one rule) is suppressed. Findings of kernel
+rules carry the kernel's name as their ``scope``.
 
 Kernel detection: any generator function whose first parameter is named
 ``ctx``. A module may additionally register functions by name in a
@@ -56,19 +57,10 @@ module-level ``__simt_kernels__ = ("name", ...)`` tuple.
 from __future__ import annotations
 
 import ast
-import json
-import os
-from dataclasses import asdict, dataclass
 
-__all__ = [
-    "Finding",
-    "RULES",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    "format_findings",
-    "findings_to_json",
-]
+from repro.analysis._framework import LintFamily, Source, walk_no_nested_functions
+
+__all__ = ["FAMILY", "RULES"]
 
 #: rule id -> (severity, short description)
 RULES = {
@@ -82,24 +74,6 @@ RULES = {
 _NARROW_DTYPES = {"int32", "uint32", "int16", "uint16", "int8"}
 _CTORS_DTYPE_ARG2 = {"empty", "zeros", "ones"}  # dtype is 2nd positional
 _CTORS_DTYPE_ARG3 = {"full"}  # dtype is 3rd positional
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One lint finding, with enough provenance to be a CI gate message."""
-
-    rule: str
-    severity: str
-    path: str
-    line: int
-    col: int
-    message: str
-    kernel: str | None = None
-
-    def format(self) -> str:
-        where = f"{self.path}:{self.line}:{self.col}"
-        scope = f" [kernel {self.kernel}]" if self.kernel else ""
-        return f"{where}: {self.rule} {self.severity}:{scope} {self.message}"
 
 
 # --------------------------------------------------------------------------
@@ -135,18 +109,6 @@ def _assigned_names(target: ast.AST) -> list[str]:
     return []
 
 
-def _walk_no_nested_functions(node: ast.AST):
-    """``ast.walk`` that does not descend into nested function/class defs."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
-                continue
-            stack.append(child)
-
-
 class _TaintTracker:
     """Fixed-point propagation of *thread-varying* values through a kernel.
 
@@ -164,7 +126,7 @@ class _TaintTracker:
     def _stabilize(self) -> None:
         for _ in range(32):  # fixed point; kernels are small
             before = len(self.tainted)
-            for node in _walk_no_nested_functions(self.func):
+            for node in walk_no_nested_functions(self.func):
                 if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                     value = node.value
                     if value is None:
@@ -204,17 +166,16 @@ class _TaintTracker:
 
 
 class _KernelChecker:
-    def __init__(self, func: ast.FunctionDef, path: str, add):
+    def __init__(self, func: ast.FunctionDef, emit):
         self.func = func
-        self.path = path
-        self.add = add
+        self.emit = emit
         self.taint = _TaintTracker(func)
         #: per-thread fresh containers: stores into them are thread-private
         self.private: set[str] = self._collect_private()
 
     def _collect_private(self) -> set[str]:
         private: set[str] = set()
-        for node in _walk_no_nested_functions(self.func):
+        for node in walk_no_nested_functions(self.func):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 value = node.value
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -224,18 +185,7 @@ class _KernelChecker:
         return private
 
     def _finding(self, rule: str, node: ast.AST, message: str) -> None:
-        sev = RULES[rule][0]
-        self.add(
-            Finding(
-                rule=rule,
-                severity=sev,
-                path=self.path,
-                line=getattr(node, "lineno", self.func.lineno),
-                col=getattr(node, "col_offset", 0),
-                message=message,
-                kernel=self.func.name,
-            )
-        )
+        self.emit(rule, node, message, self.func.name)
 
     # -- KL101 / KL102 share a guarded walk ---------------------------------
     def run(self) -> None:
@@ -308,13 +258,13 @@ class _KernelChecker:
 
     # -- KL103 --------------------------------------------------------------
     def _check_loops_accounting(self) -> None:
-        for node in _walk_no_nested_functions(self.func):
+        for node in walk_no_nested_functions(self.func):
             if not isinstance(node, (ast.For, ast.While)):
                 continue
             has_accounting = False
             has_work = False
             for sub in node.body:
-                for inner in _walk_no_nested_functions(sub):
+                for inner in walk_no_nested_functions(sub):
                     if _is_ctx_method_call(inner, ("work",) + _ATOMICS):
                         has_accounting = True
                     elif isinstance(inner, (ast.Call, ast.Subscript)):
@@ -342,7 +292,7 @@ def _is_np_attr(node: ast.AST, names) -> bool:
     )
 
 
-def _check_dtypes(tree: ast.Module, path: str, add) -> None:
+def _check_dtypes(tree: ast.Module, emit) -> None:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -351,19 +301,11 @@ def _check_dtypes(tree: ast.Module, path: str, add) -> None:
         if _is_np_attr(node.func, _CTORS_DTYPE_ARG2 | _CTORS_DTYPE_ARG3):
             need = 2 if node.func.attr in _CTORS_DTYPE_ARG2 else 3
             if "dtype" not in kw and len(node.args) < need:
-                add(
-                    Finding(
-                        rule="KL201",
-                        severity=RULES["KL201"][0],
-                        path=path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=(
-                            f"np.{node.func.attr}(...) without an explicit dtype "
-                            "defaults to float64 — state the dtype (pipeline "
-                            "arrays are int64/uint8 by contract)"
-                        ),
-                    )
+                emit(
+                    "KL201", node,
+                    f"np.{node.func.attr}(...) without an explicit dtype "
+                    "defaults to float64 — state the dtype (pipeline "
+                    "arrays are int64/uint8 by contract)",
                 )
         # KL202: narrowing dtype, either dtype=np.int32 or .astype(np.int32)
         narrow = None
@@ -377,18 +319,10 @@ def _check_dtypes(tree: ast.Module, path: str, add) -> None:
             node.func, _CTORS_DTYPE_ARG2 | _CTORS_DTYPE_ARG3 | {"array", "asarray", "arange"}
         ) or "dtype" in kw
         if narrow and takes_dtype:
-            add(
-                Finding(
-                    rule="KL202",
-                    severity=RULES["KL202"][0],
-                    path=path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"narrowing to {narrow}: triplet/index arrays are int64 "
-                        "by contract — chromosome-scale offsets overflow 32 bits"
-                    ),
-                )
+            emit(
+                "KL202", node,
+                f"narrowing to {narrow}: triplet/index arrays are int64 "
+                "by contract — chromosome-scale offsets overflow 32 bits",
             )
 
 
@@ -404,7 +338,7 @@ def _is_kernel(func: ast.FunctionDef, registered: set[str]) -> bool:
     if not args or args[0].arg != "ctx":
         return False
     return any(
-        isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _walk_no_nested_functions(func)
+        isinstance(n, (ast.Yield, ast.YieldFrom)) for n in walk_no_nested_functions(func)
     )
 
 
@@ -422,76 +356,12 @@ def _registered_kernels(tree: ast.Module) -> set[str]:
     return out
 
 
-def _suppressed(finding: Finding, lines: list[str]) -> bool:
-    if not (1 <= finding.line <= len(lines)):
-        return False
-    text = lines[finding.line - 1]
-    if "simt: ignore" not in text:
-        return False
-    marker = text.split("simt: ignore", 1)[1]
-    if marker.startswith("["):
-        rules = marker[1 : marker.index("]")] if "]" in marker else ""
-        return finding.rule in {r.strip() for r in rules.split(",")}
-    return True
-
-
-def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint one module's source text; returns suppression-filtered findings."""
-    tree = ast.parse(source, filename=path)
-    findings: list[Finding] = []
-    add = findings.append
-    registered = _registered_kernels(tree)
-    for node in ast.walk(tree):
+def _check(source: Source, emit, facts: list) -> None:
+    registered = _registered_kernels(source.tree)
+    for node in ast.walk(source.tree):
         if isinstance(node, ast.FunctionDef) and _is_kernel(node, registered):
-            _KernelChecker(node, path, add).run()
-    _check_dtypes(tree, path, add)
-    lines = source.splitlines()
-    kept = [f for f in findings if not _suppressed(f, lines)]
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return kept
+            _KernelChecker(node, emit).run()
+    _check_dtypes(source.tree, emit)
 
 
-def lint_file(path: str) -> list[Finding]:
-    """Lint one ``.py`` file (see :func:`lint_source`)."""
-    with open(path, encoding="utf-8") as fh:
-        return lint_source(fh.read(), path)
-
-
-def lint_paths(paths, *, select=None, ignore=None) -> list[Finding]:
-    """Lint files and/or directory trees of ``*.py`` files.
-
-    ``select``/``ignore`` are iterables of rule ids filtering the output.
-    """
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, names in os.walk(p):
-                files.extend(
-                    os.path.join(root, n) for n in sorted(names) if n.endswith(".py")
-                )
-        else:
-            files.append(p)
-    findings: list[Finding] = []
-    for f in sorted(set(files)):
-        findings.extend(lint_file(f))
-    if select:
-        allowed = set(select)
-        findings = [f for f in findings if f.rule in allowed]
-    if ignore:
-        blocked = set(ignore)
-        findings = [f for f in findings if f.rule not in blocked]
-    return findings
-
-
-def format_findings(findings) -> str:
-    """Human-readable report: one line per finding plus a summary line."""
-    lines = [f.format() for f in findings]
-    n_err = sum(1 for f in findings if f.severity == "error")
-    n_warn = len(findings) - n_err
-    lines.append(f"{len(findings)} finding(s): {n_err} error(s), {n_warn} warning(s)")
-    return "\n".join(lines)
-
-
-def findings_to_json(findings) -> str:
-    """Findings as a JSON array (``gpumem analyze --format json``)."""
-    return json.dumps([asdict(f) for f in findings], indent=2)
+FAMILY = LintFamily(tag="simt", rules=RULES, check=_check)

@@ -29,21 +29,22 @@ Injection points: :class:`repro.core.session.MemSession`,
 locks through :func:`new_lock`, which consults the installed tracker (or
 the ``REPRO_LOCK_TRACKER=1`` environment switch — how CI runs the core
 suites under the tracker). Tests use the ``lock_tracker`` fixture from
-:mod:`repro.analysis.pytest_lock_tracker`.
+:mod:`repro.analysis.pytest_plugin`.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 
+from repro.analysis._framework import InstallSlot, Tracker, call_site
 from repro.errors import LockOrderError
 
 __all__ = [
+    "SLOT",
     "AcquisitionSite",
     "LockFinding",
     "LockTracker",
@@ -54,15 +55,6 @@ __all__ = [
     "new_rlock",
     "uninstall",
 ]
-
-
-def _call_site(depth: int) -> str:
-    """Cheap ``file:line`` of the acquiring frame (no stack walk)."""
-    try:
-        frame = sys._getframe(depth)
-    except ValueError:  # pragma: no cover - shallow stacks in exotic embeds
-        return "<unknown>"
-    return f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_lineno}"
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class TrackedLock:
         if got:
             try:
                 # depth 2: caller of acquire() / the ``with`` statement
-                self.tracker._on_acquired(self, wait, contended, _call_site(2))
+                self.tracker._on_acquired(self, wait, contended, call_site(2))
             except BaseException:
                 # raise-mode LockOrderError: hand the lock back so the
                 # caller's program is still in a consistent state.
@@ -147,7 +139,7 @@ class TrackedLock:
             self._inner.acquire()
         wait = time.perf_counter() - t0
         try:
-            self.tracker._on_acquired(self, wait, contended, _call_site(2))
+            self.tracker._on_acquired(self, wait, contended, call_site(2))
         except BaseException:
             self._inner.release()
             raise
@@ -172,38 +164,24 @@ class _Held:
         self.count = 1
 
 
-class LockTracker:
+class LockTracker(Tracker):
     """Process-wide recorder of lock acquisition order and contention.
 
-    Parameters
-    ----------
-    mode:
-        ``"raise"`` (default) raises :class:`LockOrderError` at the
-        acquisition that closes an order cycle; ``"collect"`` records a
-        :class:`LockFinding` instead. Hold-while-blocked conditions are
-        always collected (raising inside ``Future.result`` would corrupt
-        unrelated pool bookkeeping).
-    metrics:
-        Optional metrics registry for live ``lock.*`` series; defaults
-        to a fresh :class:`repro.obs.metrics.MetricsRegistry`. Its
-        internal locks are plain (never tracked), so emission cannot
-        recurse into the tracker.
+    In ``mode="raise"`` (default) the acquisition that closes an order
+    cycle raises :class:`LockOrderError`; ``"collect"`` only records the
+    :class:`LockFinding`. Hold-while-blocked conditions are always
+    collected (raising inside ``Future.result`` would corrupt unrelated
+    pool bookkeeping). ``metrics`` receives the live ``lock.*`` series.
     """
 
-    def __init__(self, mode: str = "raise", metrics=None):
-        if mode not in ("raise", "collect"):
-            raise ValueError(f"mode must be 'raise' or 'collect', got {mode!r}")
-        self.mode = mode
-        if metrics is None:
-            from repro.obs.metrics import MetricsRegistry
+    noun = "lock"
+    _lock: threading.Lock  # guards: _edges, findings, _n_locks
 
-            metrics = MetricsRegistry()
-        self.metrics = metrics
+    def __init__(self, mode: str = "raise", metrics=None):
+        super().__init__(mode, metrics)
         self._local = threading.local()
-        self._lock = threading.Lock()  # guards: _edges, findings, _n_locks
         #: (src, dst) lock-class pairs -> first-observation provenance
         self._edges: dict[tuple[str, str], AcquisitionSite] = {}
-        self.findings: list[LockFinding] = []
         self._n_locks = 0
         self._probes_installed = False
         self._orig_future_result = None
@@ -325,12 +303,9 @@ class LockTracker:
             locks=tuple(dict.fromkeys(names)),
             site=cycle[-1].site,
         )
-        with self._lock:
-            self.findings.append(finding)
         if getattr(self.metrics, "enabled", True):
             self.metrics.counter("lock.order_violations").inc()
-        if self.mode == "raise":
-            raise LockOrderError(message, cycle=tuple(cycle))
+        self._report([finding], LockOrderError(message, cycle=tuple(cycle)))
 
     # -- hold-while-blocked probes ----------------------------------------------
     def _check_blocked(self, what: str) -> None:
@@ -345,12 +320,11 @@ class LockTracker:
             ),
             thread=threading.current_thread().name,
             locks=held,
-            site=_call_site(3),
+            site=call_site(3),
         )
-        with self._lock:
-            self.findings.append(finding)
         if getattr(self.metrics, "enabled", True):
             self.metrics.counter("lock.hold_while_blocked").inc()
+        self._report([finding])
 
     def install_blocking_probes(self) -> None:
         """Patch ``Future.result`` / ``Queue.get`` to flag holders that block."""
@@ -394,13 +368,6 @@ class LockTracker:
         with self._lock:
             return dict(self._edges)
 
-    def format_findings(self) -> str:
-        with self._lock:
-            findings = list(self.findings)
-        lines = [f.format() for f in findings]
-        lines.append(f"{len(findings)} lock finding(s)")
-        return "\n".join(lines)
-
     def clear(self) -> None:
         """Drop findings and the order graph (a fresh run)."""
         with self._lock:
@@ -419,45 +386,19 @@ class LockTracker:
 # injectable factory plumbing
 # --------------------------------------------------------------------------
 
-_active_tracker: LockTracker | None = None
-_env_checked = False
-_install_lock = threading.Lock()  # guards: _active_tracker, _env_checked
+
+def _env_tracker() -> LockTracker:
+    tracker = LockTracker()
+    tracker.install_blocking_probes()
+    return tracker
 
 
-def install(tracker: LockTracker) -> None:
-    """Make ``tracker`` the process-wide factory behind :func:`new_lock`."""
-    global _active_tracker
-    with _install_lock:
-        _active_tracker = tracker
-
-
-def uninstall() -> None:
-    """Remove the installed tracker (subsequent locks are plain)."""
-    global _active_tracker
-    with _install_lock:
-        _active_tracker = None
-
-
-def active_tracker() -> LockTracker | None:
-    """The installed tracker, honouring ``REPRO_LOCK_TRACKER=1`` lazily.
-
-    The environment path is how CI's ``tests-locktracker`` leg runs the
-    existing suites under the tracker without touching any call site:
-    the first :func:`new_lock` call creates a process-global raise-mode
-    tracker (``REPRO_LOCK_TRACKER_MODE`` overrides) with blocking probes
-    installed.
-    """
-    global _active_tracker, _env_checked
-    with _install_lock:
-        if _active_tracker is None and not _env_checked:
-            _env_checked = True
-            if os.environ.get("REPRO_LOCK_TRACKER", "").lower() in ("1", "true", "on"):
-                tracker = LockTracker(
-                    mode=os.environ.get("REPRO_LOCK_TRACKER_MODE", "raise")
-                )
-                tracker.install_blocking_probes()
-                _active_tracker = tracker
-        return _active_tracker
+#: ``REPRO_LOCK_TRACKER=1`` (CI's ``tests-locktracker`` leg) makes the
+#: first :func:`new_lock` build a raise-mode tracker with blocking probes.
+SLOT = InstallSlot("REPRO_LOCK_TRACKER", _env_tracker)
+install = SLOT.install
+uninstall = SLOT.uninstall
+active_tracker = SLOT.active
 
 
 def new_lock(name: str) -> "threading.Lock | TrackedLock":

@@ -66,16 +66,16 @@ Run via ``gpumem analyze --resource [paths...]`` (or ``--all``); see
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass
 
-__all__ = [
-    "RL_RULES",
-    "ResourceFinding",
-    "lint_resource_source",
-    "lint_resource_file",
-    "lint_resource_paths",
-]
+from repro.analysis._framework import (
+    LintFamily,
+    Source,
+    final_name,
+    walk_no_nested_functions,
+)
+
+__all__ = ["FAMILY", "RL_RULES"]
 
 #: rule id -> (severity, short description)
 RL_RULES = {
@@ -112,48 +112,6 @@ _TMP_REMOVERS = {"unlink", "remove", "rmtree", "rmdir"}
 _FLOCK_ACQUIRE_FLAGS = {"LOCK_EX", "LOCK_SH"}
 
 
-@dataclass(frozen=True)
-class ResourceFinding:
-    """One resource-lifecycle finding (CI-gate-ready provenance)."""
-
-    rule: str
-    severity: str
-    path: str
-    line: int
-    col: int
-    message: str
-    scope: str | None = None
-
-    def format(self) -> str:
-        where = f"{self.path}:{self.line}:{self.col}"
-        scope = f" [{self.scope}]" if self.scope else ""
-        return f"{where}: {self.rule} {self.severity}:{scope} {self.message}"
-
-
-def _final_name(expr: ast.AST) -> str | None:
-    """The trailing identifier of a Name/Attribute chain, else None."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
-def _walk_no_nested_functions(node: ast.AST):
-    """``ast.walk`` that does not descend into nested function/class defs."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-            ):
-                continue
-            stack.append(child)
-
-
 # --------------------------------------------------------------------------
 # creation-site classification
 # --------------------------------------------------------------------------
@@ -163,7 +121,7 @@ def _is_shm_create(value: ast.AST) -> bool:
     """``SharedMemory(...)`` with ``create=True`` or ``.to_shared(...)``."""
     if not isinstance(value, ast.Call):
         return False
-    name = _final_name(value.func)
+    name = final_name(value.func)
     if name == "to_shared":
         return True
     if name == "SharedMemory":
@@ -178,7 +136,7 @@ def _is_tmp_create(value: ast.AST) -> bool:
     """A temp artifact whose cleanup is the caller's problem."""
     if not isinstance(value, ast.Call):
         return False
-    name = _final_name(value.func)
+    name = final_name(value.func)
     if name in ("mkstemp", "mkdtemp"):
         return True
     if name in ("NamedTemporaryFile", "TemporaryDirectory"):
@@ -199,7 +157,7 @@ def _is_mmap_load(value: ast.AST) -> bool:
     """``np.load(..., mmap_mode=...)`` (non-None) or ``np.memmap(...)``."""
     if not isinstance(value, ast.Call):
         return False
-    name = _final_name(value.func)
+    name = final_name(value.func)
     if name == "memmap":
         return True
     if name != "load":
@@ -216,7 +174,7 @@ def _is_copy_wrapped(value: ast.AST) -> bool:
     """``x.copy()`` / ``np.array(x)`` / ``np.ascontiguousarray(x)`` etc."""
     if not isinstance(value, ast.Call):
         return False
-    return _final_name(value.func) in (
+    return final_name(value.func) in (
         "copy", "array", "asarray", "ascontiguousarray", "deepcopy",
     )
 
@@ -264,7 +222,7 @@ class _FunctionLifetimes:
         self._check_flock()
         for name, calls in self.unlinks.items():
             for call in calls[1:]:
-                self.m._add(
+                self.m.emit(
                     "RL101", call,
                     f"{name!r} is unlinked at {len(calls)} distinct sites in "
                     "one function — the second unlink races name reuse and "
@@ -275,7 +233,7 @@ class _FunctionLifetimes:
             if t.escaped:
                 continue
             if not t.cleaned:
-                self.m._add(
+                self.m.emit(
                     t.rule, t.node,
                     f"{t.what} assigned to {t.var!r} is neither cleaned up "
                     f"({'/'.join(sorted(t.cleanups))}) nor handed off — it "
@@ -283,7 +241,7 @@ class _FunctionLifetimes:
                     self.scope,
                 )
             elif t.risky_after_create and not t.cleanup_guaranteed:
-                self.m._add(
+                self.m.emit(
                     t.rule, t.node,
                     f"{t.what} assigned to {t.var!r} is cleaned up only on "
                     "the success path — statements between creation and "
@@ -362,7 +320,7 @@ class _FunctionLifetimes:
                     if value.id in self.mmap_vars and isinstance(t, ast.Attribute):
                         self._add_mmap_escape(stmt, value.id, "an attribute")
                 if _is_mmap_load(value):
-                    self._add_mmap_escape(stmt, _final_name(value.func) or "load",
+                    self._add_mmap_escape(stmt, final_name(value.func) or "load",
                                           "an attribute")
         # ``fd, path = mkstemp()``: the unpack target names all own it.
         for t in targets:
@@ -401,7 +359,7 @@ class _FunctionLifetimes:
 
     # -- expression scanning ----------------------------------------------------
     def _scan_expr(self, node: ast.AST, cleanup_in_finally: bool = False) -> None:
-        for sub in _walk_no_nested_functions(node):
+        for sub in walk_no_nested_functions(node):
             if not isinstance(sub, ast.Call):
                 continue
             func = sub.func
@@ -450,9 +408,9 @@ class _FunctionLifetimes:
             return
         if any(kw.arg == "missing_ok" for kw in call.keywords):
             return
-        recv = _final_name(func.value)
+        recv = final_name(func.value)
         if recv in ("os", "shutil", "Path", "pathlib"):
-            key = _final_name(call.args[0]) if call.args else None
+            key = final_name(call.args[0]) if call.args else None
         else:
             key = recv
         if key is not None:
@@ -495,7 +453,7 @@ class _FunctionLifetimes:
     def _note_risky(self, stmt: ast.stmt) -> None:
         """Any call or raise after creation can skip a later cleanup."""
         may_raise = isinstance(stmt, ast.Raise) or any(
-            isinstance(sub, ast.Call) for sub in _walk_no_nested_functions(stmt)
+            isinstance(sub, ast.Call) for sub in walk_no_nested_functions(stmt)
         )
         if not may_raise:
             return
@@ -507,7 +465,7 @@ class _FunctionLifetimes:
                 t.risky_after_create = True
 
     def _is_own_cleanup(self, stmt: ast.stmt, t: _Tracked) -> bool:
-        for sub in _walk_no_nested_functions(stmt):
+        for sub in walk_no_nested_functions(stmt):
             if (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
@@ -527,7 +485,7 @@ class _FunctionLifetimes:
             self._add_mmap_escape(stmt, "np.load(mmap_mode=...)", "the caller")
 
     def _add_mmap_escape(self, node, what: str, where: str) -> None:
-        self.m._add(
+        self.m.emit(
             "RL103", node,
             f"mmap-backed array {what!r} escapes to {where} without a copy "
             "— the view pins the backing file beyond this scope; call "
@@ -555,18 +513,18 @@ class _FunctionLifetimes:
                     scan(stmt.orelse, in_finally)
                     scan(stmt.finalbody, True)
                     continue
-                for sub in _walk_no_nested_functions(stmt):
+                for sub in walk_no_nested_functions(stmt):
                     if not isinstance(sub, ast.Call):
                         continue
-                    name = _final_name(sub.func)
+                    name = final_name(sub.func)
                     if name not in ("flock", "lockf"):
                         if name == "close" and in_finally:
                             release_in_finally += 1
                         continue
                     flags = {
-                        _final_name(a) for a in sub.args
+                        final_name(a) for a in sub.args
                     } | {
-                        _final_name(v) for a in sub.args
+                        final_name(v) for a in sub.args
                         if isinstance(a, ast.BinOp)
                         for v in (a.left, a.right)
                     }
@@ -591,7 +549,7 @@ class _FunctionLifetimes:
         if release_in_finally:
             return
         for call in acquires:
-            self.m._add(
+            self.m.emit(
                 "RL104", call,
                 "fcntl lock taken with no LOCK_UN/close in a finally block "
                 "— an exception after the acquire strands the lock (and its "
@@ -609,24 +567,9 @@ class _FunctionLifetimes:
 class _ModuleAnalysis:
     """One module's resource pass: RL101-RL105 findings."""
 
-    def __init__(self, tree: ast.Module, path: str, lines: list[str]):
+    def __init__(self, tree: ast.Module, emit):
         self.tree = tree
-        self.path = path
-        self.lines = lines
-        self.findings: list[ResourceFinding] = []
-
-    def _add(self, rule: str, node: ast.AST, message: str, scope: str) -> None:
-        self.findings.append(
-            ResourceFinding(
-                rule=rule,
-                severity=RL_RULES[rule][0],
-                path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                message=message,
-                scope=scope,
-            )
-        )
+        self.emit = emit
 
     def run(self) -> None:
         for node in self.tree.body:
@@ -656,7 +599,7 @@ class _ModuleAnalysis:
     @staticmethod
     def _is_dataclass(cls: ast.ClassDef) -> bool:
         for dec in cls.decorator_list:
-            name = _final_name(dec.func if isinstance(dec, ast.Call) else dec)
+            name = final_name(dec.func if isinstance(dec, ast.Call) else dec)
             if name == "dataclass":
                 return True
         return False
@@ -672,7 +615,7 @@ class _ModuleAnalysis:
                 if isinstance(stmt.value, ast.Lambda):
                     bad = "lambda default"
             if bad is not None:
-                self._add(
+                self.emit(
                     "RL102", stmt,
                     f"field {stmt.target.id!r} of spec-protocol dataclass "
                     f"{cls.name} has non-spawn-safe type {bad!r}: it cannot "
@@ -686,7 +629,7 @@ class _ModuleAnalysis:
         for sub in ast.walk(annotation):
             name = None
             if isinstance(sub, (ast.Name, ast.Attribute)):
-                name = _final_name(sub)
+                name = final_name(sub)
             elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 # string annotations: cheap containment check
                 for known in _NON_SPAWN_SAFE_TYPES:
@@ -698,61 +641,8 @@ class _ModuleAnalysis:
         return None
 
 
-# --------------------------------------------------------------------------
-# suppression + entry points
-# --------------------------------------------------------------------------
+def _check(source: Source, emit, facts: list) -> None:
+    _ModuleAnalysis(source.tree, emit).run()
 
 
-def _suppressed(finding: ResourceFinding, lines: list[str]) -> bool:
-    if not (1 <= finding.line <= len(lines)):
-        return False
-    text = lines[finding.line - 1]
-    if "res: ignore" not in text:
-        return False
-    marker = text.split("res: ignore", 1)[1]
-    if marker.startswith("["):
-        rules = marker[1 : marker.index("]")] if "]" in marker else ""
-        return finding.rule in {r.strip() for r in rules.split(",")}
-    return True
-
-
-def lint_resource_source(source: str, path: str = "<string>") -> list[ResourceFinding]:
-    """Lint one module's source for RL101-RL105."""
-    tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    analysis = _ModuleAnalysis(tree, path, lines)
-    analysis.run()
-    findings = [f for f in analysis.findings if not _suppressed(f, lines)]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def lint_resource_file(path: str) -> list[ResourceFinding]:
-    """Lint one ``.py`` file (see :func:`lint_resource_source`)."""
-    with open(path, encoding="utf-8") as fh:
-        return lint_resource_source(fh.read(), path)
-
-
-def lint_resource_paths(paths, *, select=None, ignore=None) -> list[ResourceFinding]:
-    """Lint files/trees (``gpumem analyze --resource``)."""
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, names in os.walk(p):
-                files.extend(
-                    os.path.join(root, n) for n in sorted(names)
-                    if n.endswith(".py")
-                )
-        else:
-            files.append(p)
-    findings: list[ResourceFinding] = []
-    for f in sorted(set(files)):
-        findings.extend(lint_resource_file(f))
-    if select:
-        allowed = set(select)
-        findings = [f for f in findings if f.rule in allowed]
-    if ignore:
-        blocked = set(ignore)
-        findings = [f for f in findings if f.rule not in blocked]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+FAMILY = LintFamily(tag="res", rules=RL_RULES, check=_check)

@@ -29,20 +29,20 @@ ride the existing ``ObsPayload`` freight back to the parent.
 
 Switch on process-wide with ``REPRO_RESOURCE_TRACKER=1`` (how the CI
 ``tests-resource`` leg runs the core + index suites), or per-test via the
-``resource_tracker`` fixture in
-:mod:`repro.analysis.pytest_resource_tracker`.
+``resource_tracker`` fixture in :mod:`repro.analysis.pytest_plugin`.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import threading
 from dataclasses import dataclass
 
+from repro.analysis._framework import InstallSlot, Tracker, call_site
 from repro.errors import ResourceLeakError
 
 __all__ = [
+    "SLOT",
     "ResourceRecord",
     "ResourceFinding",
     "ResourceTracker",
@@ -60,15 +60,6 @@ __all__ = [
     "adopt",
     "disown",
 ]
-
-
-def _call_site(depth: int) -> str:
-    """Cheap ``file:line`` of the calling frame (no stack walk)."""
-    try:
-        frame = sys._getframe(depth)
-    except ValueError:  # pragma: no cover - shallow stacks in exotic embeds
-        return "<unknown>"
-    return f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_lineno}"
 
 
 @dataclass(frozen=True)
@@ -98,51 +89,29 @@ class ResourceFinding:
         return f"[{self.kind}] {self.message} (pid {self.pid}, {self.site})"
 
 
-class ResourceTracker:
+class ResourceTracker(Tracker):
     """Process-wide recorder of IPC resource lifetimes.
 
-    Parameters
-    ----------
-    mode:
-        ``"raise"`` (default) raises :class:`ResourceLeakError` at the
-        misuse site (double close/unlink, unbalanced release) and from a
-        failed :meth:`audit`; ``"collect"`` records
-        :class:`ResourceFinding` entries instead and :meth:`audit`
-        returns the leaks without raising.
-    metrics:
-        Optional metrics registry for live ``res.*`` series; defaults to
-        a fresh :class:`repro.obs.metrics.MetricsRegistry`. Its internal
-        locks are plain (never tracked), so emission cannot recurse.
+    In ``mode="raise"`` (default) a misuse (double close/unlink,
+    unbalanced release) raises :class:`ResourceLeakError` at its site, as
+    does a failed :meth:`audit`; ``"collect"`` only records the
+    :class:`ResourceFinding` and :meth:`audit` returns the leaks without
+    raising. ``metrics`` receives the live ``res.*`` series.
     """
 
-    def __init__(self, mode: str = "raise", metrics=None):
-        if mode not in ("raise", "collect"):
-            raise ValueError(f"mode must be 'raise' or 'collect', got {mode!r}")
-        self.mode = mode
-        if metrics is None:
-            from repro.obs.metrics import MetricsRegistry
+    noun = "resource"
+    _lock: threading.Lock  # guards: _live, _adopted, _unlinked, findings
 
-            metrics = MetricsRegistry()
-        self.metrics = metrics
-        self._lock = threading.Lock()  # guards: _live, _adopted, _unlinked, findings
+    def __init__(self, mode: str = "raise", metrics=None):
+        super().__init__(mode, metrics)
         #: (kind, name) -> record for every currently-open resource
         self._live: dict[tuple[str, str], ResourceRecord] = {}
         #: (kind, name) -> holder label for deliberately long-lived resources
         self._adopted: dict[tuple[str, str], str] = {}
         #: shm names already unlinked (to catch double-unlink after close)
         self._unlinked: set[str] = set()
-        self.findings: list[ResourceFinding] = []
 
     # -- metrics ----------------------------------------------------------------
-    def bind_metrics(self, registry) -> None:
-        """Redirect ``res.*`` emission into ``registry``.
-
-        In a procpool worker this is the :class:`WorkerObs` registry, so
-        resource counters ride the ``ObsPayload`` delta freight back to
-        the parent tracer like every other ``proc.*`` series.
-        """
-        self.metrics = registry
-
     def _count(self, name: str, **labels) -> None:
         metrics = self.metrics
         if not getattr(metrics, "enabled", True):
@@ -160,7 +129,7 @@ class ResourceTracker:
     # -- shared memory -----------------------------------------------------------
     def shm_created(self, name: str, nbytes: int = 0) -> None:
         """A named segment was created (owner side)."""
-        record = ResourceRecord("shm", name, os.getpid(), _call_site(3))
+        record = ResourceRecord("shm", name, os.getpid(), call_site(3))
         with self._lock:
             self._live[("shm", name)] = record
             self._unlinked.discard(name)
@@ -169,7 +138,7 @@ class ResourceTracker:
 
     def shm_attached(self, name: str) -> None:
         """An existing segment was attached (consumer side)."""
-        record = ResourceRecord("shm-attach", name, os.getpid(), _call_site(3))
+        record = ResourceRecord("shm-attach", name, os.getpid(), call_site(3))
         with self._lock:
             self._live[("shm-attach", name)] = record
         self._count("res.shm.attached")
@@ -218,7 +187,7 @@ class ResourceTracker:
     # -- mmap-backed bundles -----------------------------------------------------
     def mmap_opened(self, path: str) -> None:
         """A store bundle was opened with mmap-backed arrays."""
-        record = ResourceRecord("mmap", path, os.getpid(), _call_site(3))
+        record = ResourceRecord("mmap", path, os.getpid(), call_site(3))
         with self._lock:
             self._live[("mmap", path)] = record
         self._count("res.mmap.opened")
@@ -234,7 +203,7 @@ class ResourceTracker:
     # -- file locks --------------------------------------------------------------
     def lock_acquired(self, path: str) -> None:
         """An fcntl file lock was taken on ``path``."""
-        record = ResourceRecord("lock", path, os.getpid(), _call_site(3))
+        record = ResourceRecord("lock", path, os.getpid(), call_site(3))
         with self._lock:
             self._live[("lock", path)] = record
         self._count("res.lock.acquired")
@@ -273,13 +242,10 @@ class ResourceTracker:
     def _misuse(self, kind: str, name: str, message: str) -> None:
         finding = ResourceFinding(
             kind=kind, message=message, name=name,
-            pid=os.getpid(), site=_call_site(3),
+            pid=os.getpid(), site=call_site(3),
         )
-        with self._lock:
-            self.findings.append(finding)
         self._count("res.misuse", kind=kind)
-        if self.mode == "raise":
-            raise ResourceLeakError(finding.format())
+        self._report([finding], ResourceLeakError(finding.format()))
 
     def live_snapshot(self) -> tuple[tuple[str, str], ...]:
         """Keys of currently-live non-adopted resources (for baselining)."""
@@ -315,12 +281,16 @@ class ResourceTracker:
                 )
         return leaked
 
-    def format_findings(self) -> str:
-        with self._lock:
-            findings = list(self.findings)
-        lines = [f.format() for f in findings]
-        lines.append(f"{len(findings)} resource finding(s)")
-        return "\n".join(lines)
+    def checkpoint(self):
+        """A mark covering findings and the live-resource baseline."""
+        return super().checkpoint(), self.live_snapshot()
+
+    def problems_since(self, mark) -> list[str]:
+        """Misuse recorded, and non-adopted resources opened, after ``mark``."""
+        n_findings, baseline = mark
+        return super().problems_since(n_findings) + [
+            f"still live: {r.format()}" for r in self.leaks(baseline=baseline)
+        ]
 
     def clear(self) -> None:
         """Drop all state (a fresh run)."""
@@ -342,51 +312,20 @@ class ResourceTracker:
 # process-wide plumbing + hook seams
 # --------------------------------------------------------------------------
 
-_active_tracker: ResourceTracker | None = None
-_env_checked = False
-_install_lock = threading.Lock()  # guards: _active_tracker, _env_checked
-
-
-def install(tracker: ResourceTracker) -> None:
-    """Make ``tracker`` the process-wide sink behind the hook functions."""
-    global _active_tracker
-    with _install_lock:
-        _active_tracker = tracker
-
-
-def uninstall() -> None:
-    """Remove the installed tracker (subsequent events are no-ops)."""
-    global _active_tracker
-    with _install_lock:
-        _active_tracker = None
-
-
-def active_tracker() -> ResourceTracker | None:
-    """The installed tracker, honouring ``REPRO_RESOURCE_TRACKER=1`` lazily.
-
-    The environment path is how CI's ``tests-resource`` leg (and spawned
-    procpool workers, which inherit the environment) run under the
-    tracker without touching any call site: the first hook call creates a
-    process-global raise-mode tracker (``REPRO_RESOURCE_TRACKER_MODE``
-    overrides).
-    """
-    global _active_tracker, _env_checked
-    with _install_lock:
-        if _active_tracker is None and not _env_checked:
-            _env_checked = True
-            env = os.environ.get("REPRO_RESOURCE_TRACKER", "").lower()
-            if env in ("1", "true", "on"):
-                _active_tracker = ResourceTracker(
-                    mode=os.environ.get("REPRO_RESOURCE_TRACKER_MODE", "raise")
-                )
-        return _active_tracker
+#: ``REPRO_RESOURCE_TRACKER=1`` (CI's ``tests-resource`` leg, and spawned
+#: procpool workers, which inherit the environment) makes the first hook
+#: call build a raise-mode tracker.
+SLOT = InstallSlot("REPRO_RESOURCE_TRACKER", ResourceTracker)
+install = SLOT.install
+uninstall = SLOT.uninstall
+active_tracker = SLOT.active
 
 
 # Module-level hook seams: library code calls these unconditionally and
 # pays one function call + one None check when no tracker is installed —
 # the same cost profile as lock_tracker.new_lock. Each forwards with the
 # caller two frames up (hook frame + tracker method), which is what the
-# _call_site(3) inside the tracker methods resolves to.
+# call_site(3) inside the tracker methods resolves to.
 
 
 def shm_created(name: str, nbytes: int = 0) -> None:

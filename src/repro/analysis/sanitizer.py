@@ -38,6 +38,7 @@ surface, and that is where the paper's race classes live.
 ``mode="collect"`` (default) accumulates findings for later assertion (the
 pytest fixture asserts at teardown); ``mode="raise"`` raises
 :class:`~repro.errors.RaceConditionError` at the first offending barrier.
+At most :data:`MAX_FINDINGS` races are kept.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis._framework import Tracker
 from repro.errors import BarrierDivergenceError, RaceConditionError
 
 __all__ = ["Access", "RaceFinding", "Sanitizer", "TrackedArray"]
@@ -55,6 +57,9 @@ __all__ = ["Access", "RaceFinding", "Sanitizer", "TrackedArray"]
 #: address of the same array (conservative — a region access covers unknown
 #: elements).
 REGION = "<region>"
+
+#: cap on recorded races (a racy kernel reports every phase of every block)
+MAX_FINDINGS = 1000
 
 
 @dataclass(frozen=True)
@@ -139,15 +144,11 @@ class TrackedArray:
         return f"TrackedArray({self._simt_name!r}, {self._simt_base!r})"
 
 
-class Sanitizer:
+class Sanitizer(Tracker):
     """Collects per-phase access sets and turns conflicts into findings."""
 
-    def __init__(self, *, mode: str = "collect", max_findings: int = 1000):
-        if mode not in ("collect", "raise"):
-            raise ValueError(f"mode must be 'collect' or 'raise', got {mode!r}")
-        self.mode = mode
-        self.max_findings = int(max_findings)
-        self.findings: list[RaceFinding] = []
+    def __init__(self, *, mode: str = "collect"):
+        super().__init__(mode)
         self.divergences: list[BarrierDivergenceError] = []
         self.n_accesses = 0
         self._current: tuple[str, int, int, int] | None = None
@@ -209,12 +210,10 @@ class Sanitizer:
                 )
         self._accesses.clear()
         if new:
-            room = self.max_findings - len(self.findings)
-            self.findings.extend(new[:room])
-            if self.mode == "raise":
-                raise RaceConditionError(
-                    "; ".join(f.format() for f in new[:4]), findings=new
-                )
+            room = MAX_FINDINGS - len(self.findings)
+            self._report(new[:room], RaceConditionError(
+                "; ".join(f.format() for f in new[:4]), findings=new
+            ))
 
     @staticmethod
     def _classify(accesses: list[tuple[int, str]]) -> str | None:
@@ -234,11 +233,10 @@ class Sanitizer:
         return None
 
     # -- reporting ----------------------------------------------------------
-    def format_findings(self) -> str:
-        lines = [f.format() for f in self.findings]
-        lines += [f"barrier divergence: {e}" for e in self.divergences]
+    def _summary(self, findings) -> str:
+        lines = [f"barrier divergence: {e}" for e in self.divergences]
         lines.append(
-            f"{len(self.findings)} race(s), {len(self.divergences)} "
+            f"{len(findings)} race(s), {len(self.divergences)} "
             f"divergence(s) over {self.n_accesses} tracked accesses"
         )
         return "\n".join(lines)

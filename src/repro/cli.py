@@ -624,13 +624,9 @@ def cmd_bench(args) -> int:
 def cmd_analyze(args) -> int:
     import os
 
-    from repro.analysis.concurrency_lint import lint_host_paths
-    from repro.analysis.kernel_lint import (
-        findings_to_json,
-        format_findings,
-        lint_paths,
-    )
-    from repro.analysis.resource_lint import lint_resource_paths
+    from repro.analysis import findings_to_json, format_findings, lint_paths
+    from repro.analysis._framework import TAGS
+    from repro.errors import AnalysisInputError
 
     paths = args.paths
     if not paths:
@@ -640,20 +636,15 @@ def cmd_analyze(args) -> int:
         paths = [os.path.dirname(repro.__file__)]
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
-    # --device (default, back-compat) = KL SIMT rules; --host = CL lock
-    # rules; --resource = RL lifecycle rules; --all = every family,
-    # merged into one report / JSON document.
-    device = args.side in ("device", "all")
-    host = args.side in ("host", "all")
-    resource = args.side in ("resource", "all")
-    findings = []
-    if device:
-        findings.extend(lint_paths(paths, select=select, ignore=ignore))
-    if host:
-        findings.extend(lint_host_paths(paths, select=select, ignore=ignore))
-    if resource:
-        findings.extend(lint_resource_paths(paths, select=select, ignore=ignore))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    # --device (default) = KL SIMT rules; --host = CL lock rules;
+    # --resource = RL lifecycle rules; --all = every family in one report.
+    families = {"device": ("simt",), "host": ("conc",), "resource": ("res",),
+                "all": TAGS}[args.side]
+    try:
+        findings = lint_paths(paths, families, select=select, ignore=ignore)
+    except AnalysisInputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.format == "json":
         print(findings_to_json(findings))
     else:
@@ -851,7 +842,7 @@ def main(argv=None) -> int:
              "shared-memory races, KL1xx-KL2xx), host (lock discipline, "
              "deadlock shapes, CL1xx), and/or resource lifecycles "
              "(shm/mmap/lock/temp leaks, spawn safety, RL1xx) — exit 1 "
-             "on any finding",
+             "on any finding, 2 on a missing or unparsable file",
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="files or directories to lint "

@@ -108,6 +108,11 @@ class ResourceLeakError(GpuMemError, RuntimeError):
         super().__init__(message)
 
 
+class AnalysisInputError(GpuMemError, ValueError):
+    """A path given to the static analyzers is missing, unreadable or not
+    valid Python; the message reads ``path: reason``."""
+
+
 class ServerOverloadedError(GpuMemError, RuntimeError):
     """The serving front end shed a request: the admission queue is full.
 

@@ -88,6 +88,10 @@ def test_all_merges_every_rule_family(capsys):
     assert any(r.startswith("KL") for r in rules)
     assert any(r.startswith("CL") for r in rules)
     assert any(r.startswith("RL") for r in rules)
+    # one schema for every family
+    assert {tuple(sorted(entry)) for entry in data} == {
+        ("col", "line", "message", "path", "rule", "scope", "severity")
+    }
 
 
 def test_select_spans_rule_families(capsys):
@@ -101,3 +105,16 @@ def test_select_spans_rule_families(capsys):
 def test_shipped_package_passes_the_full_gate(capsys):
     """What CI's merged-report step runs must stay green."""
     assert main(["analyze", "--all", os.path.dirname(repro.__file__)]) == 0
+
+
+def test_missing_path_is_an_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "nope")
+    assert main(["analyze", "--host", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"{missing}: ")
+
+
+def test_unparsable_file_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def f(:\n")
+    assert main(["analyze", "--all", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"{bad}: syntax error at line 1")

@@ -7,39 +7,36 @@ import textwrap
 from collections import Counter
 
 import repro
-from repro.analysis.concurrency_lint import (
-    CL_RULES,
-    lint_host_file,
-    lint_host_paths,
-    lint_host_source,
-)
+from repro.analysis import lint_file, lint_paths, lint_source
+from repro.analysis.concurrency_lint import CL_RULES
 
 HERE = os.path.dirname(__file__)
 PLANTED = os.path.join(HERE, "planted_host.py")
+CONC = ("conc",)
 
 
 def lint(src: str, path: str = "mod.py"):
-    return lint_host_source(textwrap.dedent(src), path)
+    return lint_source(textwrap.dedent(src), path, CONC)
 
 
 class TestPlantedHost:
     def test_every_rule_fires_exactly_once(self):
-        findings = lint_host_file(PLANTED)
+        findings = lint_file(PLANTED, CONC)
         assert Counter(f.rule for f in findings) == {
             "CL101": 1, "CL102": 1, "CL103": 1, "CL104": 1,
         }
 
     def test_severities_match_the_catalogue(self):
-        for f in lint_host_file(PLANTED):
+        for f in lint_file(PLANTED, CONC):
             assert f.severity == CL_RULES[f.rule][0]
 
     def test_compliant_twins_stay_clean(self):
-        scopes = {f.scope for f in lint_host_file(PLANTED)}
+        scopes = {f.scope for f in lint_file(PLANTED, CONC)}
         assert "register_safely" not in scopes
         assert "UnguardedCounter.read" not in scopes
 
     def test_findings_carry_provenance(self):
-        for f in lint_host_file(PLANTED):
+        for f in lint_file(PLANTED, CONC):
             assert f.path == PLANTED
             assert f.line > 0
             assert f.format().startswith(f"{PLANTED}:{f.line}:")
@@ -88,6 +85,24 @@ class TestCL101:
         """)
         assert [f.rule for f in findings] == ["CL101"]
         assert findings[0].scope == "Cache.reset"
+
+    def test_inherited_lock_declared_by_class_annotation(self):
+        findings = lint("""
+        class Tracked(Base):
+            _lock: threading.Lock  # guards: _edges
+
+            def __init__(self):
+                super().__init__()
+                self._edges = {}
+
+            def bad(self):
+                return len(self._edges)
+
+            def good(self):
+                with self._lock:
+                    return len(self._edges)
+        """)
+        assert [(f.rule, f.scope) for f in findings] == [("CL101", "Tracked.bad")]
 
 
 class TestCL102:
@@ -174,9 +189,9 @@ class TestCL102:
                         with self.cache_lock:
                             pass
         """))
-        assert lint_host_file(str(ab)) == []
-        assert lint_host_file(str(ba)) == []
-        findings = lint_host_paths([str(tmp_path)])
+        assert lint_file(str(ab), CONC) == []
+        assert lint_file(str(ba), CONC) == []
+        findings = lint_paths([str(tmp_path)], CONC)
         assert [f.rule for f in findings] == ["CL102"]
         assert "engine_query.py" in findings[0].message
         assert "engine_maintenance.py" in findings[0].message
@@ -310,15 +325,15 @@ class TestSuppression:
 
 class TestSelectIgnore:
     def test_select_and_ignore(self):
-        findings = lint_host_paths([PLANTED], select=["CL101", "CL102"])
+        findings = lint_paths([PLANTED], CONC, select=["CL101", "CL102"])
         assert {f.rule for f in findings} == {"CL101", "CL102"}
-        findings = lint_host_paths([PLANTED], ignore=["CL103"])
+        findings = lint_paths([PLANTED], CONC, ignore=["CL103"])
         assert "CL103" not in {f.rule for f in findings}
 
 
 def test_shipped_package_passes_the_host_gate():
     """Every suppression in src/repro is justified; no open findings."""
-    assert lint_host_paths([os.path.dirname(repro.__file__)]) == []
+    assert lint_paths([os.path.dirname(repro.__file__)], CONC) == []
 
 
 class TestMultiprocessingLocks:

@@ -217,8 +217,8 @@ class TestInjectionSeam:
 
     def test_env_switch_builds_a_process_tracker(self, monkeypatch):
         monkeypatch.setenv("REPRO_LOCK_TRACKER", "1")
-        monkeypatch.setattr(lt, "_active_tracker", None)
-        monkeypatch.setattr(lt, "_env_checked", False)
+        monkeypatch.setattr(lt.SLOT, "_tracker", None)
+        monkeypatch.setattr(lt.SLOT, "_env_checked", False)
         try:
             lock = lt.new_lock("env.lock")
             assert isinstance(lock, TrackedLock)
@@ -229,20 +229,18 @@ class TestInjectionSeam:
             tracker = lt.active_tracker()
             if tracker is not None:
                 tracker.remove_blocking_probes()
-        # monkeypatch teardown restores the module globals.
+        # monkeypatch teardown restores the slot.
 
     def test_env_mode_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCK_TRACKER", "1")
-        monkeypatch.setenv("REPRO_LOCK_TRACKER_MODE", "collect")
-        monkeypatch.setattr(lt, "_active_tracker", None)
-        monkeypatch.setattr(lt, "_env_checked", False)
-        try:
-            lt.new_lock("env.lock")
-            assert lt.active_tracker().mode == "collect"
-        finally:
-            tracker = lt.active_tracker()
-            if tracker is not None:
-                tracker.remove_blocking_probes()
+        """Collect mode comes from building the tracker, not the env."""
+        monkeypatch.setattr(lt.SLOT, "_tracker", None)
+        lt.install(LockTracker(mode="collect"))
+        a, b = lt.new_lock("override.a"), lt.new_lock("override.b")
+        with a, b:
+            pass
+        with b, a:  # inversion: recorded, not raised
+            pass
+        assert [f.kind for f in lt.active_tracker().findings] == ["lock-order"]
 
 
 class TestRealWorkloadsAreClean:

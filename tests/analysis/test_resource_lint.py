@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.resource_lint import (
-    RL_RULES,
-    lint_resource_file,
-    lint_resource_paths,
-    lint_resource_source,
-)
+from repro.analysis import lint_file, lint_paths, lint_source
+from repro.analysis.resource_lint import RL_RULES
 
 PLANTED = "tests/analysis/planted_resources.py"
+RES = ("res",)
+
+
+def lint(src):
+    return lint_source(src, families=RES)
 
 
 @pytest.fixture(scope="module")
 def planted_findings():
-    return lint_resource_file(PLANTED)
+    return lint_file(PLANTED, RES)
 
 
 def scopes(findings, rule):
@@ -76,7 +77,7 @@ class TestRuleMechanics:
             "    with shared_memory.SharedMemory(create=True, size=n) as shm:\n"
             "        use(shm)\n"
         )
-        assert lint_resource_source(src) == []
+        assert lint(src) == []
 
     def test_ownership_transfer_via_call_is_not_a_leak(self):
         src = (
@@ -85,7 +86,7 @@ class TestRuleMechanics:
             "    shm = shared_memory.SharedMemory(create=True, size=n)\n"
             "    registry.adopt(shm)\n"
         )
-        assert lint_resource_source(src) == []
+        assert lint(src) == []
 
     def test_returning_name_string_is_still_a_leak(self):
         src = (
@@ -94,7 +95,7 @@ class TestRuleMechanics:
             "    shm = shared_memory.SharedMemory(create=True, size=n)\n"
             "    return shm.name\n"
         )
-        findings = lint_resource_source(src)
+        findings = lint(src)
         assert [f.rule for f in findings] == ["RL101"]
 
     def test_mmap_store_on_attribute_is_flagged(self):
@@ -105,7 +106,7 @@ class TestRuleMechanics:
             "        arr = np.load(path, mmap_mode='r')\n"
             "        self.arr = arr\n"
         )
-        findings = lint_resource_source(src)
+        findings = lint(src)
         assert [f.rule for f in findings] == ["RL103"]
 
     def test_mmap_mode_none_is_not_mmap(self):
@@ -114,7 +115,7 @@ class TestRuleMechanics:
             "def load(path):\n"
             "    return np.load(path, mmap_mode=None)\n"
         )
-        assert lint_resource_source(src) == []
+        assert lint(src) == []
 
     def test_lock_class_pairing_is_exempt_from_rl104(self):
         src = (
@@ -127,7 +128,7 @@ class TestRuleMechanics:
             "        fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)\n"
             "        self._fh.close()\n"
         )
-        assert lint_resource_source(src) == []
+        assert lint(src) == []
 
     def test_rl102_lambda_default(self):
         src = (
@@ -137,7 +138,7 @@ class TestRuleMechanics:
             "    name: str\n"
             "    hook: object = lambda: None\n"
         )
-        findings = lint_resource_source(src)
+        findings = lint(src)
         assert [f.rule for f in findings] == ["RL102"]
         assert "lambda" in findings[0].message
 
@@ -149,7 +150,7 @@ class TestRuleMechanics:
             "class WorkerState:\n"
             "    guard: Lock\n"
         )
-        assert lint_resource_source(src) == []
+        assert lint(src) == []
 
     def test_path_unlink_missing_ok_not_double_counted(self):
         src = (
@@ -158,35 +159,14 @@ class TestRuleMechanics:
             "        entry.unlink(missing_ok=True)\n"
             "        entry.unlink(missing_ok=True)\n"
         )
-        assert lint_resource_source(src) == []
-
-
-class TestSuppression:
-    SRC = (
-        "from multiprocessing import shared_memory\n"
-        "def bad(n):\n"
-        "    shm = shared_memory.SharedMemory(create=True, size=n)  "
-        "# res: ignore[{rule}]\n"
-        "    return n\n"
-    )
-
-    def test_matching_rule_suppresses(self):
-        assert lint_resource_source(self.SRC.format(rule="RL101")) == []
-
-    def test_other_rule_does_not_suppress(self):
-        findings = lint_resource_source(self.SRC.format(rule="RL104"))
-        assert [f.rule for f in findings] == ["RL101"]
-
-    def test_bare_ignore_suppresses_everything(self):
-        src = self.SRC.replace("# res: ignore[{rule}]", "# res: ignore")
-        assert lint_resource_source(src) == []
+        assert lint(src) == []
 
 
 class TestEntryPoints:
     def test_select_and_ignore(self, planted_findings):
-        only_101 = lint_resource_paths([PLANTED], select=["RL101"])
+        only_101 = lint_paths([PLANTED], RES, select=["RL101"])
         assert {f.rule for f in only_101} == {"RL101"}
-        without_101 = lint_resource_paths([PLANTED], ignore=["RL101"])
+        without_101 = lint_paths([PLANTED], RES, ignore=["RL101"])
         assert "RL101" not in {f.rule for f in without_101}
         assert len(only_101) + len(without_101) == len(planted_findings)
 
@@ -202,5 +182,5 @@ class TestEntryPoints:
             assert f.severity == RL_RULES[f.rule][0]
 
     def test_shipped_tree_is_clean(self):
-        findings = lint_resource_paths(["src/repro"])
+        findings = lint_paths(["src/repro"], RES)
         assert findings == [], "\n".join(f.format() for f in findings)

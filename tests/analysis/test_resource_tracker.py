@@ -246,31 +246,18 @@ class TestPlantedRuntimeTwins:
 
 class TestEnvActivation:
     def test_env_creates_a_lazy_tracker(self, monkeypatch):
-        prev = rt.active_tracker()
-        rt.uninstall()
-        monkeypatch.setattr(rt, "_env_checked", False)
+        monkeypatch.setattr(rt.SLOT, "_tracker", None)
+        monkeypatch.setattr(rt.SLOT, "_env_checked", False)
         monkeypatch.setenv("REPRO_RESOURCE_TRACKER", "1")
-        monkeypatch.setenv("REPRO_RESOURCE_TRACKER_MODE", "collect")
-        try:
-            tracker = rt.active_tracker()
-            assert isinstance(tracker, ResourceTracker)
-            assert tracker.mode == "collect"
-        finally:
-            monkeypatch.setattr(rt, "_env_checked", True)
-            if prev is not None:
-                rt.install(prev)
-            else:
-                rt.uninstall()
+        tracker = rt.active_tracker()
+        assert isinstance(tracker, ResourceTracker)
+        assert tracker.mode == "raise"
+        # monkeypatch teardown restores the slot.
 
     def test_hooks_are_noops_without_a_tracker(self, monkeypatch):
-        prev = rt.active_tracker()
-        rt.uninstall()
-        monkeypatch.setattr(rt, "_env_checked", True)
-        try:
-            rt.shm_created("seg", 1)
-            rt.shm_unlinked("seg")
-            rt.lock_released("/never")
-            assert rt.active_tracker() is None
-        finally:
-            if prev is not None:
-                rt.install(prev)
+        monkeypatch.setattr(rt.SLOT, "_tracker", None)
+        monkeypatch.setattr(rt.SLOT, "_env_checked", True)
+        rt.shm_created("seg", 1)
+        rt.shm_unlinked("seg")
+        rt.lock_released("/never")
+        assert rt.active_tracker() is None

@@ -7,18 +7,13 @@ import pytest
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-# Kernel tests can take the `sanitized_device` / `simt_sanitizer` fixtures to
-# run launches under the SIMT race detector (docs/analysis.md); host tests
-# can take `lock_tracker` (or set REPRO_LOCK_TRACKER=1 — CI's
-# tests-locktracker leg) to run under the runtime lock-order sanitizer;
-# IPC-heavy tests can take `resource_tracker` (or set
-# REPRO_RESOURCE_TRACKER=1 — CI's tests-resource leg) to run under the
-# runtime shm/mmap/file-lock leak audit.
-pytest_plugins = [
-    "repro.analysis.pytest_sanitizer",
-    "repro.analysis.pytest_lock_tracker",
-    "repro.analysis.pytest_resource_tracker",
-]
+# One plugin provides the runtime-analyzer fixtures (docs/analysis.md):
+# `sanitized_device` / `simt_sanitizer` run kernel launches under the SIMT
+# race detector, `lock_tracker` runs host code under the lock-order
+# tracker and `resource_tracker` under the shm/mmap/file-lock leak audit.
+# REPRO_LOCK_TRACKER=1 / REPRO_RESOURCE_TRACKER=1 (CI's tests-locktracker
+# and tests-resource legs) put every test of a run under those trackers.
+pytest_plugins = ["repro.analysis.pytest_plugin"]
 
 # NumPy batch sizes make per-example wall time noisy; correctness, not
 # latency, is what these properties check.
