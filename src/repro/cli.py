@@ -56,14 +56,9 @@ def _add_match_args(p: argparse.ArgumentParser) -> None:
                    help="indexing step Δs (default: the Eq. 1 maximum)")
     p.add_argument("--invalid", choices=("error", "skip", "random"),
                    default="random", help="non-ACGT letter policy")
-    p.add_argument("--executor",
-                   choices=("serial", "threads", "banded", "process"),
-                   default="serial",
-                   help="row executor of the staged pipeline (default serial)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="thread count (--executor threads), band count "
-                        "(--executor banded) or process count "
-                        "(--executor process); default per executor")
+                   help="row threads of the staged pipeline (default: "
+                        "REPRO_WORKERS, else 1 = rows in order)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="record a Chrome-trace JSON of the run "
                         "(chrome://tracing / Perfetto; inspect with "
@@ -144,7 +139,7 @@ def cmd_match(args) -> int:
     store = _activate_index_store(args)
     common = dict(
         seed_length=seed_length, step=args.step, backend=args.backend,
-        executor=args.executor, workers=args.workers,
+        workers=args.workers,
     )
 
     if args.per_record or args.batch:
@@ -271,7 +266,6 @@ def cmd_map(args) -> int:
         tracer=tracer,
         seed_length=min(args.seed_length, args.min_seed),
         step=args.step,
-        executor=args.executor,
         workers=args.workers,
     )
     runner = BatchRunner(
@@ -491,7 +485,6 @@ def cmd_index(args) -> int:
         min_length=args.min_length,
         seed_length=min(args.seed_length, args.min_length),
         step=args.step,
-        executor=args.executor,
         workers=args.workers,
     )
     seconds = GpuMem(params, tracer=tracer).index_only(reference)
@@ -706,12 +699,9 @@ def main(argv=None) -> int:
                         "(default 200)")
     p.add_argument("--invalid", choices=("error", "skip", "random"),
                    default="random", help="non-ACGT letter policy")
-    p.add_argument("--executor",
-                   choices=("serial", "threads", "banded", "process"),
-                   default="serial",
-                   help="row executor inside each query (default serial)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="row-executor width (threads/bands per query)")
+                   help="row threads inside each query (default: "
+                        "REPRO_WORKERS, else 1)")
     p.add_argument("--batch-workers", type=int, default=None, metavar="N",
                    help="concurrent reads (default: CPU count, capped at 8)")
     p.add_argument("--max-in-flight", type=int, default=None, metavar="N",

@@ -12,8 +12,6 @@ Public surface:
 - :class:`~repro.core.pipeline.Pipeline` /
   :class:`~repro.core.pipeline.PipelineStats` — the staged extraction
   engine and its typed statistics.
-- Executors (:mod:`repro.core.executors`) — serial / thread-pool / banded /
-  process strategies over independent tile rows.
 - :class:`~repro.core.serve.MemServer` — long-lived serving front end with
   admission control and graceful drain (the ``gpumem serve`` engine).
 - :func:`~repro.core.reference.brute_force_mems` — independent ground truth.
@@ -22,13 +20,6 @@ Public surface:
 from repro.core.batch import BatchError, BatchResult, BatchRunner, find_mems_batch
 from repro.core.chaining import Chain, chain_anchors
 from repro.core.distance import distance_matrix, mem_coverage, mem_distance
-from repro.core.executors import (
-    BandedExecutor,
-    ProcessPoolRowExecutor,
-    SerialExecutor,
-    ThreadPoolRowExecutor,
-    make_executor,
-)
 from repro.core.mapping import ReadMapper, ReadMapping
 from repro.core.matcher import GpuMem, find_mems
 from repro.core.multi_device import find_mems_multi_device
@@ -63,11 +54,6 @@ __all__ = [
     "find_mems_batch",
     "get_session",
     "clear_session_cache",
-    "SerialExecutor",
-    "ThreadPoolRowExecutor",
-    "BandedExecutor",
-    "ProcessPoolRowExecutor",
-    "make_executor",
     "MemServer",
     "ServeResult",
     "find_mums",

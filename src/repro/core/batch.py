@@ -9,9 +9,10 @@ the GIL. :class:`BatchRunner` is that layer, shaped like an inference
 engine's batch scheduler over a warm model:
 
 - **query-level parallelism in two tiers** — ``tier="thread"`` (default)
-  composes a thread pool with the session's row executors (rows
-  parallelize *inside* a query, the runner parallelizes *across*
-  queries); ``tier="process"`` ships whole queries to the worker-process
+  composes a thread pool with the session's row threads (rows
+  parallelize *inside* a query when ``params.workers > 1``, the runner
+  parallelizes *across* queries); ``tier="process"`` ships whole queries
+  to the worker-process
   pool of :mod:`repro.core.procpool` (true multi-core: workers attach to
   the shared 2-bit reference by name and serve from their own warm
   per-process sessions);
@@ -141,14 +142,14 @@ class BatchRunner:
         ``params`` / ``**kwargs``.
     params, **kwargs:
         Forwarded to :class:`MemSession` when a raw reference is given
-        (``min_length=...``, ``executor=...``, ...). Invalid alongside an
-        existing session.
+        (``min_length=...``, ``seed_length=...``, ...); row threads come
+        from ``params.workers``. Invalid alongside an existing session.
     workers:
         Query-level pool width. In the thread tier this composes with the
-        session's row executor: each in-flight query still fans its tile
-        rows out through the executor it was configured with. In the
-        process tier it is the worker-process count (rows run serially
-        inside each worker).
+        session's row threads: each in-flight query still fans its tile
+        rows out over ``params.workers`` threads. In the process tier it
+        is the worker-process count (rows run serially inside each
+        worker).
     tier:
         ``"thread"`` (default) runs queries on an in-process pool;
         ``"process"`` ships each query to the shared
@@ -230,8 +231,7 @@ class BatchRunner:
 
             self._proc_spec = procpool.make_spec(
                 self.session.reference, self.session.params,
-                use_cache=True, assume_warm=True, tracer=self.tracer,
-                store=self.session.store,
+                tracer=self.tracer, store=self.session.store,
             )
         self._in_flight = 0
         self._in_flight_lock = (lock_factory or new_lock)("batch.in_flight")  # guards: _in_flight

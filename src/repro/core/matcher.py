@@ -36,7 +36,7 @@ class GpuMem:
         GpuMem(min_length=50)                     # paper defaults
         GpuMem(GpuMemParams(min_length=50, seed_length=10))
         GpuMem(min_length=50, backend="simulated", load_balancing=False)
-        GpuMem(min_length=50, executor="threads", workers=4)
+        GpuMem(min_length=50, workers=4)          # rows on 4 threads
         GpuMem(min_length=50, tracer=Tracer())   # record spans + metrics
     """
 
@@ -53,7 +53,7 @@ class GpuMem:
         #: well-shaped :class:`PipelineStats` (zeroed before the first call).
         self.stats: PipelineStats = PipelineStats(
             backend=params.backend,
-            executor=params.executor,
+            workers=params.workers,
             params=params.describe(),
         )
 

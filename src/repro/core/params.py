@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from repro.core.executors import EXECUTOR_NAMES
 from repro.errors import InvalidParameterError
 from repro.index.kmer_index import max_step, validate_sparsity
 
@@ -49,13 +48,11 @@ class GpuMemParams:
     work_per_thread: int | None = None
     load_balancing: bool = True
     backend: str = "vectorized"
-    #: Row executor of the staged pipeline: "serial", "threads", or "banded".
-    #: ``None`` resolves to the ``REPRO_EXECUTOR`` environment variable
-    #: (default "serial") — the knob CI's threaded tier-1 leg uses to run
-    #: the whole suite under ``executor=threads``.
-    executor: str | None = None
-    #: Pool width ("threads") or band count ("banded"); ``None`` resolves to
-    #: ``REPRO_WORKERS`` if set, else the executor's own default.
+    #: Row threads of the staged pipeline: 1 runs tile rows one after
+    #: another, N > 1 maps them on an N-thread pool (the NumPy kernels
+    #: release the GIL). ``None`` resolves to ``REPRO_WORKERS`` if set,
+    #: else 1 — the knob CI's threaded leg uses to run the whole suite
+    #: with row threads. An explicit value is never re-read from the env.
     workers: int | None = None
 
     def __post_init__(self):
@@ -99,19 +96,11 @@ class GpuMemParams:
             raise InvalidParameterError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
-        if self.executor is None:
+        if self.workers is None:
             object.__setattr__(
-                self, "executor", os.environ.get("REPRO_EXECUTOR", "serial")
+                self, "workers", int(os.environ.get("REPRO_WORKERS") or 1)
             )
-        if self.workers is None and os.environ.get("REPRO_WORKERS"):
-            object.__setattr__(
-                self, "workers", int(os.environ["REPRO_WORKERS"])
-            )
-        if self.executor not in EXECUTOR_NAMES:
-            raise InvalidParameterError(
-                f"unknown executor {self.executor!r}; choose from {EXECUTOR_NAMES}"
-            )
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise InvalidParameterError(
                 f"workers must be >= 1 (or None), got {self.workers}"
             )
@@ -148,8 +137,6 @@ class GpuMemParams:
             f"ℓblock={self.block_width} n_block={self.blocks_per_tile} "
             f"ℓtile={self.tile_size} balance={'on' if self.load_balancing else 'off'}"
         )
-        if self.executor != "serial":
-            out += f" exec={self.executor}"
-            if self.workers is not None:
-                out += f"×{self.workers}"
+        if self.workers > 1:
+            out += f" workers={self.workers}"
         return out

@@ -13,9 +13,11 @@ implementation, decomposed into four stage objects composed by a
   in/out-tile split for every tile of a row;
 - :class:`HostMergeStage` — the global out-tile merge (§III-C2).
 
-Rows are independent work units; *how* they run is delegated to a
-:class:`repro.core.executors.RowExecutor` (serial, thread pool, or banded
-multi-device model). All per-run bookkeeping lives in the typed
+Rows are independent work units. They run one after another, or on a
+thread pool of ``params.workers`` threads (the NumPy kernels release the
+GIL); :mod:`repro.core.multi_device` hands in its own banded row mapper.
+Process parallelism lives one level up, over whole queries
+(:mod:`repro.core.procpool`). All per-run bookkeeping lives in the typed
 :class:`PipelineStats`, which also behaves as a read/write mapping so the
 historical ``stats["key"]`` consumers keep working unchanged.
 
@@ -29,12 +31,12 @@ instrumentation degrades to shared no-op objects.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.executors import RowExecutor, SerialExecutor
 from repro.core.host_merge import host_merge
 from repro.core.params import GpuMemParams
 from repro.core.tiling import TilePlan
@@ -53,28 +55,6 @@ def as_codes(seq) -> np.ndarray:
     return encode(seq)
 
 
-def _cache_token(index_cache) -> int | None:
-    """A stable per-parent-session token for process-tier worker caches.
-
-    Worker-side sessions are keyed by it (see
-    :class:`repro.core.procpool.RowTaskSpec`), so each parent session gets
-    its own worker caches and a fresh session's first query reports real
-    misses rather than inheriting another session's warmth.
-    """
-    if index_cache is None:
-        return None
-    token = getattr(index_cache, "_proc_token", None)
-    if token is None:
-        from repro.core import procpool
-
-        token = procpool.next_session_token()
-        try:
-            index_cache._proc_token = token
-        except AttributeError:  # slotted custom cache: fall back to identity
-            token = id(index_cache)
-    return token
-
-
 @dataclass
 class PipelineStats:
     """Typed per-run statistics of one pipeline execution.
@@ -85,11 +65,12 @@ class PipelineStats:
     protocol (``stats["index_time"]``, ``dict(stats)``, ``stats.update``)
     so existing consumers — CLI, benchmarks, tests — read it unchanged.
     Keys with no typed field (``sim_*`` of the simulated backend, band
-    details of the banded executor, variant tags, …) live in :attr:`extra`.
+    details of the multi-device path, variant tags, …) live in :attr:`extra`.
     """
 
     backend: str = "vectorized"
-    executor: str = "serial"
+    #: Row threads the run used (``GpuMemParams.workers``).
+    workers: int = 1
     n_rows: int = 0
     n_cols: int = 0
     n_tiles: int = 0
@@ -249,7 +230,7 @@ class RowIndexStage:
             index, seconds = build()
             return index, seconds, False
         # Prefer the single-flight protocol (MemSession.get_or_build): under
-        # the threads executor / BatchRunner, concurrent misses on one row
+        # row threads / BatchRunner, concurrent misses on one row
         # must produce exactly one build. Plain get/put caches remain
         # supported for simple (serial) callers.
         get_or_build = getattr(cache, "get_or_build", None)
@@ -338,19 +319,19 @@ class HostMergeStage:
 
 
 class Pipeline:
-    """Stage composition + row executor = one extraction engine.
+    """Stage composition + row loop = one extraction engine.
 
     ``run`` is the single implementation of the Figure-1 dataflow; the
     matcher, the session, and the multi-device wrapper all call into it
-    with different executors / caches rather than re-growing their own
-    loops.
+    with different caches (or, for multi-device, a banded ``map_rows``)
+    rather than re-growing their own loops.
     """
 
     def __init__(
         self,
         params: GpuMemParams,
         *,
-        executor: RowExecutor | None = None,
+        map_rows: Callable[[Callable, Sequence[int]], list] | None = None,
         prep: PrepStage | None = None,
         row_index: RowIndexStage | None = None,
         tile_match: TileMatchStage | None = None,
@@ -359,15 +340,26 @@ class Pipeline:
     ):
         self.params = params
         self.tracer = get_tracer(tracer)
-        self.executor = executor if executor is not None else SerialExecutor()
-        # The executor and the tile stage carry the pipeline's tracer so
-        # band timings and load-balance counters land in the same run.
-        self.executor.tracer = self.tracer
+        #: ``(fn, rows) -> [fn(row) for row in rows]``, results in row order.
+        self.map_rows = map_rows or self._map_rows
         self.prep = prep or PrepStage(params.seed_length)
         self.row_index = row_index or RowIndexStage(params)
+        # The tile stage carries the pipeline's tracer so load-balance
+        # counters land in the same run.
         self.tile_match = tile_match or TileMatchStage(params, tracer=self.tracer)
         self.tile_match.tracer = self.tracer
         self.merge = merge or HostMergeStage(params)
+
+    def _map_rows(self, fn: Callable, rows: Sequence[int]) -> list:
+        """Rows in order, or on a ``params.workers``-thread pool."""
+        rows = list(rows)
+        workers = min(self.params.workers, len(rows))
+        if workers <= 1:
+            return [fn(row) for row in rows]
+        with ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="gpumem-rows"
+        ) as pool:
+            return list(pool.map(fn, rows))
 
     def plan_for(self, n_reference: int, n_query: int) -> TilePlan:
         """The tile grid for one problem at this pipeline's tile size."""
@@ -430,7 +422,7 @@ class Pipeline:
         plan = self.plan_for(reference.size, query.size)
         with tracer.span(
             "pipeline.run", cat="pipeline",
-            backend=self.params.backend, executor=self.executor.name,
+            backend=self.params.backend, workers=self.params.workers,
             n_rows=plan.n_rows, n_reference=int(reference.size),
             n_query=int(query.size),
         ) as run_span:
@@ -441,21 +433,13 @@ class Pipeline:
                 sp.set(n_kmers=int(query_kmers.size))
             prep_time = time.perf_counter() - t0
 
-            if getattr(self.executor, "needs_spec", False):
-                row_results = self._run_specs(
-                    reference, query, plan, index_cache
+            def row_fn(row: int) -> RowResult:
+                return self.process_row(
+                    reference, query, query_kmers, plan, row,
+                    cache=index_cache,
                 )
-            else:
 
-                def row_fn(row: int) -> RowResult:
-                    return self.process_row(
-                        reference, query, query_kmers, plan, row,
-                        cache=index_cache,
-                    )
-
-                row_results = self.executor.map_rows(
-                    row_fn, range(plan.n_rows)
-                )
+            row_results = self.map_rows(row_fn, range(plan.n_rows))
 
             with tracer.span("stage:host_merge", cat="pipeline") as sp:
                 mems, crossing, out_tile, merge_seconds = self.merge.run(
@@ -469,7 +453,7 @@ class Pipeline:
 
         stats = PipelineStats(
             backend=self.params.backend,
-            executor=self.executor.name,
+            workers=self.params.workers,
             n_rows=plan.n_rows,
             n_cols=plan.n_cols,
             n_tiles=plan.n_tiles,
@@ -488,40 +472,8 @@ class Pipeline:
             index_cache_misses=sum(1 for r in row_results if not r.cache_hit),
             params=self.params.describe(),
         )
-        self.executor.annotate(stats)
         self._record_metrics(stats, n_mems=int(mems.size))
         return mems, stats
-
-    def _run_specs(
-        self, reference: np.ndarray, query: np.ndarray, plan, index_cache
-    ) -> list[RowResult]:
-        """Dispatch rows to a spec-based (process) executor.
-
-        The closure-based path cannot cross a process boundary, so the work
-        travels as a picklable :class:`repro.core.procpool.RowTaskSpec`.
-        When the caller's cache is already fully warm, the spec says so:
-        workers then warm their own sessions up front and report the same
-        all-hit / zero-index-time stats a warm serial session does.
-        """
-        from repro.core import procpool
-
-        assume_warm = False
-        if index_cache is not None:
-            cache_info = getattr(index_cache, "cache_info", None)
-            if cache_info is not None:
-                info = cache_info()
-                assume_warm = 0 < info["n_rows"] <= info["n_cached"]
-        spec = procpool.make_spec(
-            reference,
-            self.params,
-            query=query,
-            use_cache=index_cache is not None,
-            assume_warm=assume_warm,
-            token=_cache_token(index_cache),
-            tracer=self.tracer,
-            store=getattr(index_cache, "store", None),
-        )
-        return self.executor.map_row_specs(spec, range(plan.n_rows))
 
     def _record_metrics(self, stats: PipelineStats, *, n_mems: int) -> None:
         """Fold one run's stats into the tracer's metrics registry."""
@@ -561,13 +513,6 @@ class Pipeline:
         plan = self.plan_for(reference.size, self.params.tile_size)
         tracer = self.tracer
 
-        if getattr(self.executor, "needs_spec", False):
-            with tracer.span(
-                "pipeline.build_row_indexes", cat="pipeline",
-                n_rows=plan.n_rows,
-            ):
-                return self._build_specs(reference, plan, cache)
-
         def row_fn(row: int) -> float:
             with tracer.span("stage:row_index", cat="pipeline", row=row) as sp:
                 _, seconds, cache_hit = self.row_index.run(
@@ -579,35 +524,4 @@ class Pipeline:
         with tracer.span(
             "pipeline.build_row_indexes", cat="pipeline", n_rows=plan.n_rows
         ):
-            return float(
-                sum(self.executor.map_rows(row_fn, range(plan.n_rows)))
-            )
-
-    def _build_specs(self, reference: np.ndarray, plan, cache) -> float:
-        """Spec-based (process) warm path: build in workers, fill ``cache``.
-
-        Rows the caller's cache already holds are skipped (counted as hits
-        by the cache itself, matching the serial ``get_or_build`` path);
-        freshly built indexes are written back so the *caller's* cache ends
-        fully warm, not just the workers' — ``MemSession.warm()`` promises
-        ``cache_info()["n_cached"] == n_rows`` afterwards.
-        """
-        from repro.core import procpool
-
-        if cache is None:
-            missing = list(range(plan.n_rows))
-        else:
-            missing = [
-                row for row in range(plan.n_rows) if cache.get(row) is None
-            ]
-        spec = procpool.make_spec(
-            reference, self.params, use_cache=True,
-            token=_cache_token(cache), tracer=self.tracer,
-            store=getattr(cache, "store", None),
-        )
-        total = 0.0
-        for row, index, seconds in self.executor.build_row_specs(spec, missing):
-            if cache is not None:
-                cache.put(row, index)
-            total += seconds
-        return float(total)
+            return float(sum(self.map_rows(row_fn, range(plan.n_rows))))

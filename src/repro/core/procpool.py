@@ -1,8 +1,10 @@
 """Process-sharded execution: spawn-safe workers over a shared reference.
 
-The GIL caps the thread executor at ~1.1x on CPU-bound rows, so the
-``"process"`` tier ships work to a pool of worker *processes* instead. The
-pieces that make that cheap and correct live here:
+Whole queries run in a pool of worker *processes* — the query-level tier
+of :class:`~repro.core.batch.BatchRunner` and
+:class:`~repro.core.serve.MemServer` (``tier="process"``), where many
+queries against one amortized index break the GIL wall. The pieces that
+make that cheap and correct live here:
 
 - **Reference transport.** :func:`publish_reference` turns a code array
   into a picklable :class:`ReferenceLocator`: tiny references ride inline
@@ -11,27 +13,26 @@ pieces that make that cheap and correct live here:
   :meth:`~repro.sequence.packed.PackedSequence.to_shared`) that every
   worker attaches to zero-copy by name.
 - **Task protocol.** A :class:`RowTaskSpec` is the complete, picklable
-  description of worker-side work: the reference locator, spawn-safe
-  params (row executor forced back to ``"serial"`` so workers never nest
-  pools), the query codes, and cache semantics.
+  description of one query task: the reference locator, spawn-safe
+  params (rows forced serial so workers never nest pools), the query
+  codes, and where observability and the index store go.
 - **Worker-side state.** Each worker process keeps attached references and
   warm :class:`~repro.core.session.MemSession` objects in small
   module-level caches, so the per-reference index builds happen once per
-  worker, not once per task (the ISSUE's "per-process session warmup").
+  worker, not once per task.
 - **Registries.** Pools and published segments are process-wide and
-  reused across executors/runners; ``atexit`` tears both down so no
+  reused across runners and servers; ``atexit`` tears both down so no
   segment outlives the owner.
 
-Worker entry points (:func:`run_row_band`, :func:`build_rows`,
-:func:`run_query_task`) are module-level functions so they import cleanly
-under the ``spawn`` start method (the default; override with
-``REPRO_MP_START=fork`` where fork semantics are acceptable).
+The one worker entry point, :func:`run_query_task`, is a module-level
+function so it imports cleanly under the ``spawn`` start method (the
+default; override with ``REPRO_MP_START=fork`` where fork semantics are
+acceptable).
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
 import pickle
 import threading
@@ -80,30 +81,18 @@ class ReferenceLocator:
 
 @dataclass(frozen=True)
 class RowTaskSpec:
-    """Everything a worker needs to run pipeline work for one query.
+    """Everything a worker needs to extract the MEMs of one query.
 
-    Fully picklable and self-contained: workers rebuild their pipeline from
+    Fully picklable and self-contained: workers rebuild their session from
     these fields alone, so tasks survive the ``spawn`` start method.
     """
 
     ref: ReferenceLocator
-    #: Spawn-safe params: row executor forced to ``"serial"`` so a worker
-    #: never opens its own pool under the parent's pool.
+    #: Spawn-safe params: ``workers=1`` so a worker never opens its own
+    #: row-thread pool under the parent's process pool.
     params: GpuMemParams
-    #: Query codes as raw bytes (uint8), empty for index-only work.
+    #: Query codes as raw bytes (uint8).
     query: bytes = b""
-    #: Route worker rows through a per-process session cache.
-    use_cache: bool = True
-    #: The parent's cache is fully warm — warm the worker session up front
-    #: so every row reports a cache hit with zero index seconds, matching
-    #: the serial warm-session contract.
-    assume_warm: bool = False
-    #: Parent-session identity: worker sessions are keyed by it, so a fresh
-    #: parent session starts from fresh worker caches (its first query
-    #: reports genuine misses, like serial) instead of inheriting another
-    #: session's warmth. ``None`` shares worker sessions by content alone
-    #: (the always-warm batch/serve tiers, where only warmth matters).
-    token: int | None = None
     #: Ship worker-side observability home: the task runs under the
     #: process-local :class:`~repro.obs.shipping.WorkerObs` tracer and the
     #: result carries an :class:`~repro.obs.shipping.ObsPayload` (spans +
@@ -118,19 +107,15 @@ class RowTaskSpec:
     store_dir: str | None = None
 
 
-_token_counter = itertools.count(1)
-
-
-def next_session_token() -> int:
-    """A process-unique token tying worker sessions to one parent session."""
-    return next(_token_counter)
-
-
 def worker_params(params: GpuMemParams) -> GpuMemParams:
-    """The params a worker runs under: same geometry, serial rows."""
-    if params.executor == "serial" and params.workers is None:
+    """The params a worker runs under: same geometry, serial rows.
+
+    ``workers=1`` is explicit, so it survives pickling and is never
+    re-resolved from ``REPRO_WORKERS`` in the worker.
+    """
+    if params.workers == 1:
         return params
-    return params.with_(executor="serial", workers=None)
+    return params.with_(workers=1)
 
 
 def make_spec(
@@ -138,9 +123,6 @@ def make_spec(
     params: GpuMemParams,
     *,
     query: np.ndarray | None = None,
-    use_cache: bool = True,
-    assume_warm: bool = False,
-    token: int | None = None,
     tracer=None,
     store=None,
 ) -> RowTaskSpec:
@@ -163,9 +145,6 @@ def make_spec(
         query=b"" if query is None else np.ascontiguousarray(
             query, dtype=np.uint8
         ).tobytes(),
-        use_cache=use_cache,
-        assume_warm=assume_warm,
-        token=token,
         ship_obs=get_tracer(tracer).enabled,
         store_dir=None if store is None else str(store.cache_dir),
     )
@@ -184,7 +163,7 @@ def publish_reference(reference: np.ndarray, *, tracer=None) -> ReferenceLocator
     """A :class:`ReferenceLocator` for ``reference``, publishing if needed.
 
     Small references are inlined; large ones are placed in (or served from)
-    the process-wide shared-segment registry, so many executors/runners
+    the process-wide shared-segment registry, so many runners/servers
     publishing the same genome share one segment.
     """
     from repro.core.session import reference_fingerprint
@@ -292,7 +271,7 @@ WORKER_SESSION_CAPACITY = 4
 _worker_lock = threading.Lock()  # guards: _worker_refs, _worker_sessions, _worker_obs
 #: fingerprint -> attached PackedSequence (holds the segment mapping open).
 _worker_refs: dict[str, PackedSequence] = {}
-#: (fingerprint, params, token, ship_obs) -> per-process MemSession.
+#: (fingerprint, params, ship_obs, store_dir) -> per-process MemSession.
 _worker_sessions: OrderedDict[tuple, object] = OrderedDict()
 #: This process's span/metric capture state (created on first shipped task).
 _worker_obs = None
@@ -370,10 +349,7 @@ def _session_for(spec: RowTaskSpec):
     from repro.core.session import MemSession
     from repro.index.store import store_at
 
-    key = (
-        spec.ref.fingerprint, spec.params, spec.token, spec.ship_obs,
-        spec.store_dir,
-    )
+    key = (spec.ref.fingerprint, spec.params, spec.ship_obs, spec.store_dir)
     with _worker_lock:
         session = _worker_sessions.get(key)
         if session is not None:
@@ -391,76 +367,13 @@ def _session_for(spec: RowTaskSpec):
     return session
 
 
-def _ensure_warm(session) -> float:
-    """Build any missing row indexes of a worker session; returns seconds."""
-    if session.cache_info()["n_cached"] >= session.n_rows:
-        return 0.0
-    return float(session.warm())
-
-
-# -- worker entry points -------------------------------------------------------
+# -- worker entry point --------------------------------------------------------
 
 def _collect_obs(spec: RowTaskSpec):
     """This task's :class:`~repro.obs.shipping.ObsPayload` (or ``None``)."""
     if not spec.ship_obs:
         return None
     return worker_obs().collect()
-
-
-def run_row_band(spec: RowTaskSpec, rows: list[int]) -> tuple[list, object]:
-    """Run the index+match stages for a band of tile rows (worker side).
-
-    Returns ``(results, obs)``: the picklable
-    :class:`~repro.core.pipeline.RowResult` list in band order, plus the
-    task's :class:`~repro.obs.shipping.ObsPayload` when the spec ships
-    observability (``None`` otherwise). With ``assume_warm`` the worker
-    session is fully warmed first, so every row reports
-    ``cache_hit=True`` / zero index seconds — the same stats a warm serial
-    session produces.
-    """
-    from repro.core.pipeline import Pipeline
-
-    codes = _attach_codes(spec.ref)
-    if spec.use_cache:
-        session = _session_for(spec)
-        if spec.assume_warm:
-            _ensure_warm(session)
-        pipeline, cache = session.pipeline, session
-    else:
-        tracer = worker_obs().tracer if spec.ship_obs else None
-        pipeline, cache = Pipeline(spec.params, tracer=tracer), None
-    query = np.frombuffer(spec.query, dtype=np.uint8)
-    plan = pipeline.plan_for(codes.size, query.size)
-    query_kmers = pipeline.prep.run(query)
-    results = [
-        pipeline.process_row(codes, query, query_kmers, plan, row, cache=cache)
-        for row in rows
-    ]
-    return results, _collect_obs(spec)
-
-
-def build_rows(spec: RowTaskSpec, rows: list[int]) -> tuple[list, object]:
-    """Build row indexes fresh (worker side): ``(row, index, seconds)``.
-
-    Always measures a real build — the warm path's Table-III semantics —
-    and feeds the result into this worker's session cache so subsequent
-    queries here start warm. Returns ``(triples, obs)`` like
-    :func:`run_row_band`.
-    """
-    from repro.core.pipeline import Pipeline
-
-    codes = _attach_codes(spec.ref)
-    tracer = worker_obs().tracer if spec.ship_obs else None
-    pipeline = Pipeline(spec.params, tracer=tracer)
-    plan = pipeline.plan_for(codes.size, spec.params.tile_size)
-    session = _session_for(spec) if spec.use_cache else None
-    out = []
-    for row in rows:
-        index, seconds, _ = pipeline.row_index.run(codes, plan, row, cache=None)
-        if session is not None:
-            session.put(row, index)
-        out.append((row, index, seconds))
-    return out, _collect_obs(spec)
 
 
 def run_query_task(spec: RowTaskSpec, index: int, label: str | None) -> dict:
@@ -477,8 +390,8 @@ def run_query_task(spec: RowTaskSpec, index: int, label: str | None) -> dict:
     t0 = time.perf_counter()
     try:
         session = _session_for(spec)
-        if spec.assume_warm:
-            _ensure_warm(session)
+        if session.cache_info()["n_cached"] < session.n_rows:
+            session.warm()
         query = np.frombuffer(spec.query, dtype=np.uint8)
         result = session.find_mems(query)
         return {

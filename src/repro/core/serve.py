@@ -185,8 +185,7 @@ class MemServer:
 
             self._proc_spec_base = procpool.make_spec(
                 self.session.reference, self.session.params,
-                use_cache=True, assume_warm=True, tracer=self.tracer,
-                store=self.session.store,
+                tracer=self.tracer, store=self.session.store,
             )
         # Validate everything *before* starting threads or the pool: a
         # constructor that raises after ``_dispatcher.start()`` leaks a

@@ -253,7 +253,7 @@ class TestRealWorkloadsAreClean:
         tracker.install_blocking_probes()
         try:
             session = MemSession(
-                reference, min_length=30, executor="threads", workers=4,
+                reference, min_length=30, workers=4,
                 blocks_per_tile=1, lock_factory=tracker.lock,
             )
             queries = [reference[i * 400 : i * 400 + 300].copy() for i in range(4)]

@@ -307,7 +307,7 @@ class TestProcessTier:
             reference, min_length=30, tier="process", workers=2
         )
         (result,) = runner.run(_queries(reference, 1))
-        # the batch tier pre-warms worker sessions (assume_warm)
+        # the batch tier pre-warms worker sessions
         assert result.value.stats.index_cache_misses == 0
         assert result.seconds >= 0.0
 

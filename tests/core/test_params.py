@@ -74,6 +74,18 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             GpuMemParams(min_length=20, blocks_per_tile=0)
 
+    def test_rejects_zero_workers(self):
+        with pytest.raises(InvalidParameterError):
+            GpuMemParams(min_length=20, workers=0)
+
+    def test_workers_resolve_from_env_once(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert GpuMemParams(min_length=20).workers == 1
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        assert GpuMemParams(min_length=20).workers == 4
+        # an explicit value is never overridden by the env
+        assert GpuMemParams(min_length=20, workers=1).workers == 1
+
 
 class TestWith:
     def test_with_revalidates(self):

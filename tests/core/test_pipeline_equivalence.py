@@ -1,34 +1,35 @@
-"""Cross-path equivalence: every executor/session path = one MEM set.
+"""Cross-path equivalence: every execution path = one MEM set.
 
 The staged pipeline promises that *how* the independent tile rows run —
-serially (the seed behaviour), on a thread pool, banded across model
-devices, or against a warm session cache — never changes *what* is
-extracted. This suite pins that promise on random and adversarial inputs,
-always cross-checked against the independent ``brute_force_mems`` oracle.
+one after another (the seed behaviour), on row threads, banded across
+model devices, on the simulated SIMT backend, against a warm session cache
+or the persistent index store, or whole queries shipped to worker
+processes — never changes *what* is extracted. This suite pins that
+promise on random and adversarial inputs, always cross-checked against the
+independent ``brute_force_mems`` oracle.
 """
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    BandedExecutor,
+    BatchRunner,
     GpuMem,
     GpuMemParams,
+    MemServer,
     MemSession,
     PipelineStats,
-    SerialExecutor,
-    ThreadPoolRowExecutor,
     brute_force_mems,
     clear_session_cache,
     get_session,
-    make_executor,
 )
 from repro.core.multi_device import find_mems_multi_device
-from repro.errors import InvalidParameterError
+from repro.index.store import IndexStore
 from repro.types import mems_equal, unique_mems
 
 from tests.conftest import dna_pair
@@ -36,6 +37,9 @@ from tests.conftest import dna_pair
 #: Small geometry so even tiny inputs exercise many rows/tiles/boundaries.
 SMALL = dict(seed_length=3, threads_per_block=4, blocks_per_tile=2)
 L = 5
+#: Process-tier pool width; shared with the other process-tier suites via
+#: the process-wide pool registry, so the spawn cost is paid once.
+PROC_WORKERS = 2
 
 
 def _params(**overrides) -> GpuMemParams:
@@ -44,25 +48,55 @@ def _params(**overrides) -> GpuMemParams:
     return GpuMemParams(**kwargs)
 
 
-def _all_paths(reference: np.ndarray, query: np.ndarray) -> dict[str, np.ndarray]:
-    """Sorted triplet bytes from every supported execution path."""
+def _all_paths(
+    reference: np.ndarray, query: np.ndarray, *, processes: bool = False
+) -> dict[str, np.ndarray]:
+    """Triplets from every supported execution path.
+
+    ``processes`` adds the query-level process tiers (``BatchRunner`` and
+    ``MemServer``); they pay a spawn, so only the fixed adversarial cases
+    ask for them.
+    """
     out: dict[str, np.ndarray] = {}
-    out["serial"] = GpuMem(_params()).find_mems(reference, query).array
-    out["threads"] = (
-        GpuMem(_params(executor="threads", workers=3))
-        .find_mems(reference, query)
-        .array
-    )
-    out["banded"] = (
-        GpuMem(_params(executor="banded", workers=3))
-        .find_mems(reference, query)
-        .array
+    for workers in (1, 3):
+        out[f"workers={workers}"] = (
+            GpuMem(_params(workers=workers)).find_mems(reference, query).array
+        )
+    out["simulated"] = (
+        GpuMem(_params(backend="simulated")).find_mems(reference, query).array
     )
     session = MemSession(reference, _params())
     out["session-cold"] = session.find_mems(query).array
     out["session-warm"] = session.find_mems(query).array  # 100% cache hits
+    with tempfile.TemporaryDirectory() as cache_dir:
+        cold_store, warm_store = IndexStore(cache_dir), IndexStore(cache_dir)
+        out["store-cold"] = (
+            MemSession(reference, _params(), store=cold_store)
+            .find_mems(query).array
+        )
+        # A fresh store handle on the same dir: rows load from disk.
+        out["store-warm"] = (
+            MemSession(reference, _params(), store=warm_store)
+            .find_mems(query).array
+        )
+        assert warm_store.stats()["builds"] == 0
+        cold_store.clear_hot()
+        warm_store.clear_hot()
     mems, _ = find_mems_multi_device(reference, query, _params(), n_devices=3)
     out["multi-device"] = mems.array
+    if processes:
+        runner = BatchRunner(
+            reference, _params(), tier="process", workers=PROC_WORKERS
+        )
+        (result,) = runner.run([query])
+        assert result.ok, result.error
+        out["batch-process"] = result.value.array
+        with MemServer(
+            reference, _params(), tier="process", workers=PROC_WORKERS
+        ) as server:
+            served = server.request(query, timeout=120)
+        assert served.ok, served.error
+        out["serve-process"] = served.value.array
     return out
 
 
@@ -85,19 +119,19 @@ class TestPathEquivalence:
     def test_empty_query(self):
         R = (np.arange(64) % 4).astype(np.uint8)
         Q = np.empty(0, dtype=np.uint8)
-        _assert_all_equal(R, Q, _all_paths(R, Q))
+        _assert_all_equal(R, Q, _all_paths(R, Q, processes=True))
 
     def test_empty_reference(self):
         R = np.empty(0, dtype=np.uint8)
         Q = (np.arange(40) % 4).astype(np.uint8)
-        _assert_all_equal(R, Q, _all_paths(R, Q))
+        _assert_all_equal(R, Q, _all_paths(R, Q, processes=True))
 
     def test_single_letter_highly_repetitive(self):
         # One letter everywhere: maximal candidate density, every extension
         # runs into a tile border, the host merge does all the work.
         R = np.zeros(90, dtype=np.uint8)
         Q = np.zeros(70, dtype=np.uint8)
-        paths = _all_paths(R, Q)
+        paths = _all_paths(R, Q, processes=True)
         _assert_all_equal(R, Q, paths)
         # one boundary-delimited MEM per diagonal of length >= L
         n_diagonals = sum(
@@ -109,25 +143,39 @@ class TestPathEquivalence:
     def test_periodic_repeats(self):
         R = np.tile(np.array([0, 1, 2, 0, 1], dtype=np.uint8), 30)
         Q = np.tile(np.array([0, 1, 2, 0, 1], dtype=np.uint8), 20)
-        _assert_all_equal(R, Q, _all_paths(R, Q))
+        _assert_all_equal(R, Q, _all_paths(R, Q, processes=True))
 
     def test_query_shorter_than_seed(self):
         R = (np.arange(50) % 4).astype(np.uint8)
         Q = np.array([0, 1], dtype=np.uint8)  # shorter than seed_length
-        _assert_all_equal(R, Q, _all_paths(R, Q))
+        _assert_all_equal(R, Q, _all_paths(R, Q, processes=True))
+
+    def test_mem_exactly_on_tile_row_boundaries(self):
+        # A planted MEM that starts on a tile-row boundary (r = k·ℓtile)
+        # and ends exactly on the next one (r + len = (k+1)·ℓtile), at a
+        # tile-column boundary of the query too.
+        tile = _params().tile_size
+        rng = np.random.default_rng(11)
+        R = rng.integers(0, 4, 5 * tile).astype(np.uint8)
+        r, q = 2 * tile, tile
+        Q = rng.integers(0, 4, 4 * tile).astype(np.uint8)
+        Q[q:q + tile] = R[r:r + tile]
+        # flanks mismatch, so the planted match is maximal on both sides
+        Q[q - 1] = (R[r - 1] + 1) % 4
+        Q[q + tile] = (R[r + tile] + 1) % 4
+        oracle = {tuple(m) for m in brute_force_mems(R, Q, L).tolist()}
+        assert (r, q, tile) in oracle
+        _assert_all_equal(R, Q, _all_paths(R, Q, processes=True))
 
     @settings(max_examples=10, deadline=None)
     @given(dna_pair(max_size=100), st.integers(1, 5))
     def test_any_worker_count(self, pair, workers):
         R, Q = pair
         serial = GpuMem(_params()).find_mems(R, Q).array
-        for name in ("threads", "banded"):
-            arr = (
-                GpuMem(_params(executor=name, workers=workers))
-                .find_mems(R, Q)
-                .array
-            )
-            assert mems_equal(arr, serial)
+        threaded = GpuMem(_params(workers=workers)).find_mems(R, Q).array
+        banded, _ = find_mems_multi_device(R, Q, _params(), n_devices=workers)
+        assert mems_equal(threaded, serial)
+        assert mems_equal(banded.array, serial)
 
 
 class TestSessionCaching:
@@ -218,23 +266,10 @@ class TestPipelineStatsContract:
         assert back.extra["custom"] == "x"
 
     def test_executor_recorded(self):
+        """How the rows ran (the row-thread count) lands in the stats."""
         R = (np.arange(120) % 4).astype(np.uint8)
-        g = GpuMem(_params(executor="threads", workers=2))
+        g = GpuMem(_params(workers=2))
         g.find_mems(R, R[10:90])
-        assert g.stats.executor == "threads"
+        assert g.stats.workers == 2
         assert g.stats["workers"] == 2
-
-
-class TestExecutorRegistry:
-    def test_make_executor_names(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threads", 2), ThreadPoolRowExecutor)
-        assert isinstance(make_executor("banded", 3), BandedExecutor)
-        with pytest.raises(InvalidParameterError):
-            make_executor("cuda")
-
-    def test_params_validate_executor(self):
-        with pytest.raises(InvalidParameterError):
-            _params(executor="bogus")
-        with pytest.raises(InvalidParameterError):
-            _params(workers=0)
+        assert "workers=2" in g.stats.params

@@ -1,9 +1,9 @@
-"""Process-sharded execution tier: spawn safety, equivalence, registries.
+"""Process-sharded query tier: spawn safety, the worker entry point, registries.
 
-Everything here runs against real spawned worker processes (kept small:
-one shared ``workers=2`` pool, reused across tests via the process-wide
-pool registry), plus pure pickle round-trip checks that gate what may
-cross the process boundary.
+The worker entry point is driven in-process here; the batch and serve
+suites drive it through real spawned workers (one shared ``workers=2``
+pool, reused across tests via the process-wide pool registry). Pure
+pickle round-trip checks gate what may cross the process boundary.
 """
 
 import pickle
@@ -11,10 +11,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import GpuMem, GpuMemParams, MemSession, brute_force_mems
+from repro.core import GpuMemParams, brute_force_mems
 from repro.core import procpool
 from repro.core.batch import BatchError, BatchResult
-from repro.core.executors import EXECUTOR_NAMES, make_executor
 from repro.types import mems_equal, unique_mems
 
 SMALL = dict(seed_length=3, threads_per_block=4, blocks_per_tile=2)
@@ -40,19 +39,22 @@ class TestSpawnSafety:
     """Pickle round-trips for everything that crosses the boundary."""
 
     def test_params_round_trip(self):
-        p = params(executor="process", workers=4)
+        p = params(workers=4)
         assert pickle.loads(pickle.dumps(p)) == p
 
-    def test_worker_params_forces_serial(self):
-        wp = procpool.worker_params(params(executor="process", workers=4))
-        assert wp.executor == "serial"
-        assert wp.workers is None
-        # and survives the boundary without re-resolving from env
-        assert pickle.loads(pickle.dumps(wp)).executor == "serial"
+    def test_worker_params_forces_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        p = params()
+        assert p.workers == 4  # resolved from the env at construction
+        wp = procpool.worker_params(p)
+        assert wp.workers == 1
+        # an explicit 1 survives the boundary without re-reading the env
+        assert pickle.loads(pickle.dumps(wp)).workers == 1
 
-    def test_worker_params_noop_for_serial(self):
-        p = params(executor="serial")
-        assert procpool.worker_params(p) is p
+    def test_worker_params_noop_for_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        wp = procpool.worker_params(params(workers=3))
+        assert procpool.worker_params(wp) is wp
 
     def test_batch_result_round_trip(self):
         r = BatchResult(index=1, label="x", value=[1, 2], seconds=0.5)
@@ -90,65 +92,7 @@ class TestSpawnSafety:
         assert again.handle.shm_name == locator.handle.shm_name
 
 
-class TestProcessExecutor:
-    def test_registered(self):
-        assert "process" in EXECUTOR_NAMES
-        ex = make_executor("process", workers=WORKERS)
-        assert ex.name == "process"
-        assert ex.needs_spec
-
-    def test_invalid_workers(self):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError):
-            make_executor("process", workers=0)
-
-    def test_cold_one_shot_matches_oracle(self, data):
-        ref, qry = data
-        matcher = GpuMem(params(executor="process", workers=WORKERS))
-        got = matcher.find_mems(ref, qry)
-        oracle = unique_mems(brute_force_mems(ref, qry, L))
-        assert unique_mems(got.array).tobytes() == oracle.tobytes()
-        assert matcher.stats.executor == "process"
-        assert matcher.stats["workers"] == WORKERS
-
-    def test_matches_serial_executor(self, data):
-        ref, qry = data
-        serial = GpuMem(params(executor="serial")).find_mems(ref, qry)
-        proc = GpuMem(params(executor="process", workers=WORKERS)).find_mems(
-            ref, qry
-        )
-        assert mems_equal(proc.array, serial.array)
-
-    def test_warm_session_contract(self, data):
-        ref, qry = data
-        session = MemSession(ref, params(executor="process", workers=WORKERS))
-        assert session.warm() >= 0.0
-        info = session.cache_info()
-        assert info["n_cached"] == session.n_rows > 1
-        result = session.find_mems(qry)
-        assert mems_equal(result.array, brute_force_mems(ref, qry, L))
-        # warm runs must show the serial tier's all-hit accounting
-        assert result.stats.index_cache_hits == session.n_rows
-        assert result.stats.index_cache_misses == 0
-        assert result.stats.index_time == 0.0
-
-    def test_warm_is_idempotent(self, data):
-        ref, _ = data
-        session = MemSession(ref, params(executor="process", workers=WORKERS))
-        session.warm()
-        before = session.cache_info()["n_cached"]
-        session.warm()
-        assert session.cache_info()["n_cached"] == before
-
-    def test_cold_session_counts_misses(self, data):
-        ref, qry = data
-        session = MemSession(ref, params(executor="process", workers=WORKERS))
-        result = session.find_mems(qry)
-        assert result.stats.index_cache_misses == session.n_rows
-        assert result.stats.index_cache_hits == 0
-        assert mems_equal(result.array, brute_force_mems(ref, qry, L))
-
+class TestPoolRegistry:
     def test_pool_registry_reuses_pools(self):
         pool = procpool.get_pool(WORKERS)
         assert procpool.get_pool(WORKERS) is pool
@@ -160,7 +104,7 @@ class TestRunQueryTask:
 
     def test_ok_payload(self, data):
         ref, qry = data
-        spec = procpool.make_spec(ref, params(), query=qry, assume_warm=True)
+        spec = procpool.make_spec(ref, params(), query=qry)
         payload = procpool.run_query_task(spec, 3, "lbl")
         assert payload["ok"]
         assert (payload["index"], payload["label"]) == (3, "lbl")
@@ -182,7 +126,7 @@ class TestRunQueryTask:
 
 
 class TestObsShipping:
-    """Worker entry points carry observability freight when asked."""
+    """The worker entry point carries observability freight when asked."""
 
     def _spec(self, data, **kw):
         from repro.obs import Tracer
@@ -222,33 +166,6 @@ class TestObsShipping:
         assert not payload["ok"]
         assert isinstance(payload["error"], Exception)
         assert isinstance(payload["obs"], ObsPayload)
-
-    def test_run_row_band_tuple_shape(self, data):
-        from repro.obs.shipping import ObsPayload
-
-        ref, qry = data
-        plain = procpool.make_spec(ref, params(), query=qry)
-        results, obs = procpool.run_row_band(plain, [0])
-        assert results and obs is None
-        shipped_results, shipped = procpool.run_row_band(
-            self._spec(data, query=qry), [0]
-        )
-        assert isinstance(shipped, ObsPayload)
-        assert [r.row for r in shipped_results] == [r.row for r in results]
-
-    def test_build_rows_tuple_shape(self, data):
-        from repro.obs.shipping import ObsPayload
-
-        ref, _ = data
-        triples, obs = procpool.build_rows(
-            procpool.make_spec(ref, params(), use_cache=False), [0]
-        )
-        assert triples and obs is None
-        triples2, shipped = procpool.build_rows(
-            self._spec(data, use_cache=False), [0]
-        )
-        assert isinstance(shipped, ObsPayload)
-        assert [t[0] for t in triples2] == [t[0] for t in triples]
 
 
 def _attach_and_die(handle):

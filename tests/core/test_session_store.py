@@ -129,9 +129,7 @@ class TestThreadedExecutorWithStore:
     def test_threads_executor_single_flight_per_row(self, data, tmp_path):
         ref, qry = data
         store = store_at(tmp_path)
-        session = MemSession(
-            ref, params(executor="threads", workers=4), store=store
-        )
+        session = MemSession(ref, params(workers=4), store=store)
         plain = MemSession(ref, params()).find_mems(qry)
         got = session.find_mems(qry)
         assert np.array_equal(plain.array, got.array)
@@ -139,21 +137,26 @@ class TestThreadedExecutorWithStore:
 
 
 class TestProcessExecutorWithStore:
+    """The query-level process tier (``BatchRunner(tier="process")``)."""
+
     def test_workers_share_the_store(self, data, tmp_path):
         """Spawned workers persist rows; a later serial session warm-loads."""
+        from repro.core import BatchRunner
+
         ref, qry = data
         store = store_at(tmp_path)
-        proc = MemSession(
-            ref, params(executor="process", workers=2), store=store
+        runner = BatchRunner(
+            MemSession(ref, params(), store=store), tier="process", workers=2
         )
-        got = proc.find_mems(qry)
+        (result,) = runner.run([qry])
+        assert result.ok, result.error
         plain = MemSession(ref, params()).find_mems(qry)
-        assert np.array_equal(plain.array, got.array)
+        assert np.array_equal(plain.array, result.value.array)
         # builds happened in the workers; the parent store saw none but
         # the bundles are on disk under the shared cache dir
         st = store.stats()
         assert st["builds"] == 0
-        assert st["n_bundles"] == proc.n_rows
+        assert st["n_bundles"] == runner.session.n_rows
 
         serial = MemSession(ref, params(), store=store)
         again = serial.find_mems(qry)
