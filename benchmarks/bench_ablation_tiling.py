@@ -4,7 +4,9 @@ Tiling exists so the partial index fits a memory-restricted device. Smaller
 tiles mean a smaller resident index but more border-crossing MEMs routed
 through the out-block/out-tile/host path. This sweep varies
 ``blocks_per_tile`` and reports the resident-index bound, the number of
-out-tile fragments, and total time — all at identical output.
+out-tile fragments, and total time — all at identical output. The fragment
+count is taken before the host merge's chain combine, so a crossing MEM
+holding several seeds contributes one fragment per seed.
 
 Expected shape: index bytes scale with tile size; out-tile fragments grow
 as tiles shrink; the MEM set never changes.

@@ -61,12 +61,13 @@ def main() -> None:
 
     # 5. Pipeline statistics from the matcher.
     matcher = repro.GpuMem(min_length=MIN_LENGTH)
-    matcher.find_mems(reference, query)
+    result = matcher.find_mems(reference, query)
     stats = matcher.stats
+    # Stage counts are triplets before the one dedup; len(result) is the MEM count.
     print(
         f"tiles: {stats['n_tiles']}  candidates: {stats['n_candidates']:,}  "
-        f"in-tile MEMs: {stats['n_in_tile']}  border fragments: "
-        f"{stats['n_out_tile_fragments']}"
+        f"in-tile triplets: {stats['n_in_tile']}  border fragments: "
+        f"{stats['n_out_tile_fragments']}  MEMs: {len(result)}"
     )
     print(f"index {stats['index_time']:.3f}s + match {stats['match_time']:.3f}s")
 

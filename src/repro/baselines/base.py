@@ -41,7 +41,9 @@ class MEMFinder:
     Subclasses implement :meth:`_build` and :meth:`_find`; this base class
     provides timing, input normalization, and the common two-phase protocol
     mirroring how the paper benchmarks the tools (Table III: build; Table
-    IV: extraction with a prebuilt index).
+    IV: extraction with a prebuilt index). ``_find`` returns raw triplets;
+    the :class:`MatchSet` wrapper deduplicates and sorts them, inside the
+    timed extraction.
     """
 
     #: Human-readable tool name (paper column header).
@@ -64,9 +66,9 @@ class MEMFinder:
             raise GpuMemError(f"{self.name}: build_index must be called first")
         query = as_codes(query)
         t0 = time.perf_counter()
-        triplets = self._find(query, int(min_length))
+        mems = MatchSet(self._find(query, int(min_length)))
         seconds = time.perf_counter() - t0
-        return MatchResult(mems=MatchSet(triplets), seconds=seconds)
+        return MatchResult(mems=mems, seconds=seconds)
 
     # -- subclass surface -------------------------------------------------------
     def _build(self, reference: np.ndarray) -> None:

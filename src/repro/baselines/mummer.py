@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.baselines.base import MEMFinder
 from repro.index.matching import SuffixArraySearcher
-from repro.types import empty_triplets, make_triplets, unique_mems
+from repro.types import empty_triplets, make_triplets
 
 
 class MummerFinder(MEMFinder):
@@ -58,4 +58,4 @@ class MummerFinder(MEMFinder):
         safe_r = np.maximum(r - 1, 0)
         safe_q = np.maximum(q - 1, 0)
         keep = at_edge | (reference[safe_r] != query[safe_q])
-        return unique_mems(make_triplets(r[keep], q[keep], lam[keep]))
+        return make_triplets(r[keep], q[keep], lam[keep])

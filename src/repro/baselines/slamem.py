@@ -30,7 +30,7 @@ from repro.baselines.base import MEMFinder
 from repro.index.esa import LCPIntervals
 from repro.index.fm_index import FMIndex
 from repro.index.lcp import lcp_array
-from repro.types import empty_triplets, make_triplets, unique_mems
+from repro.types import empty_triplets, make_triplets
 
 
 class SlaMemFinder(MEMFinder):
@@ -140,7 +140,7 @@ class SlaMemFinder(MEMFinder):
         keep = at_edge | (
             reference[np.maximum(r_all - 1, 0)] != query[np.maximum(q_all - 1, 0)]
         )
-        return unique_mems(make_triplets(r_all[keep], q_all[keep], l_all[keep]))
+        return make_triplets(r_all[keep], q_all[keep], l_all[keep])
 
     def matching_statistics(self, query: np.ndarray) -> np.ndarray:
         """Per-position longest-match lengths via the FM recurrence.

@@ -21,7 +21,7 @@ from repro.baselines.base import MEMFinder
 from repro.errors import InvalidParameterError
 from repro.index.compare import common_suffix_len
 from repro.index.sparse_sa import SparseSuffixArray
-from repro.types import empty_triplets, make_triplets, unique_mems
+from repro.types import empty_triplets, make_triplets
 
 
 class SparseMemFinder(MEMFinder):
@@ -66,5 +66,4 @@ class SparseMemFinder(MEMFinder):
         # Recover true (left-maximal) starts by full left extension.
         le = common_suffix_len(reference, query, r, q)
         mems = make_triplets(r - le, q - le, lam + le)
-        mems = mems[mems["length"] >= min_length]
-        return unique_mems(mems)
+        return mems[mems["length"] >= min_length]

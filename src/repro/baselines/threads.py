@@ -5,9 +5,10 @@ partitioning the query among threads. Python's GIL makes real threads
 meaningless for this workload, so we use the ideal-parallel model
 (DESIGN.md §2): the query positions are split into τ contiguous chunks,
 each chunk is *timed sequentially*, and the parallel extraction time is the
-**maximum** chunk time (plus the result merge). This is deterministic,
-repeatable, and preserves the paper's qualitative scaling, including
-sparseMEM's anti-scaling (its index sparseness grows with τ).
+**maximum** chunk time (plus the result merge, which is serial and holds
+the one :class:`MatchSet` dedup of the chunks' raw triplets). This is
+deterministic, repeatable, and preserves the paper's qualitative scaling,
+including sparseMEM's anti-scaling (its index sparseness grows with τ).
 
 Chunking is correct because a chunk reports every MEM whose *anchor*
 position falls in it; the union over chunks therefore covers all MEMs, and

@@ -126,12 +126,27 @@ def _emit_observability(args, tracer) -> None:
         print(tracer.metrics.format(), end="", file=sys.stderr)
 
 
+#: MEMs formatted per write: bounds the text held in memory on huge outputs.
+MEM_WRITE_CHUNK = 65_536
+
+
+def _write_mems(mems: np.ndarray, prefix: str = "") -> None:
+    """Write triplets to stdout as 1-based, tab-separated ``r q length`` lines.
+
+    One ``%`` format per chunk of :data:`MEM_WRITE_CHUNK` MEMs. ``prefix``
+    leads every line (the ``+``/``-`` strand column of ``match -b``).
+    """
+    line = prefix + "%d\t%d\t%d\n"
+    for start in range(0, mems.size, MEM_WRITE_CHUNK):
+        chunk = mems[start:start + MEM_WRITE_CHUNK]
+        cols = np.column_stack((chunk["r"] + 1, chunk["q"] + 1, chunk["length"]))
+        sys.stdout.write((line * chunk.size) % tuple(cols.ravel().tolist()))
+
+
 def cmd_match(args) -> int:
     from repro.core.matcher import GpuMem
     from repro.core.params import GpuMemParams
     from repro.core.variants import find_mems_both_strands, find_rare_mems
-
-    from repro.sequence.fasta import read_fasta
 
     reference = _read_single_fasta(args.reference, args.invalid)
     seed_length = min(args.seed_length, args.min_length)
@@ -143,14 +158,13 @@ def cmd_match(args) -> int:
     )
 
     if args.per_record or args.batch:
-        from repro.core.params import GpuMemParams as _Params
         from repro.core.session import MemSession
         from repro.sequence.fasta import iter_fasta
 
         # One session for all records: the reference's row indexes are
         # built on the first record and reused for every later one.
         session = MemSession(
-            reference, _Params(min_length=args.min_length, **common),
+            reference, GpuMemParams(min_length=args.min_length, **common),
             tracer=tracer,
         )
         total = n_records = n_errors = 0
@@ -184,8 +198,7 @@ def cmd_match(args) -> int:
                 print(f"# error in record {result.label!r}: {result.error}",
                       file=sys.stderr)
                 continue
-            for r, q, length in result.value:
-                print(f"{r + 1}\t{q + 1}\t{length}")
+            _write_mems(result.value.array)
             total += len(result.value)
         if args.verbose:
             info = session.cache_info()
@@ -206,21 +219,22 @@ def cmd_match(args) -> int:
             max_ref_occurrences=max_occ, tracer=tracer, **common,
         )
         stats = result.stats
-        rows = [("+", r, q, l) for r, q, l in result]
+        strands = [("+", result.array)]
     elif args.both_strands:
         stranded = find_mems_both_strands(
             reference, query, args.min_length, tracer=tracer, **common
         )
         stats = stranded.forward.stats
-        rows = [("+", r, q, l) for r, q, l in stranded.forward]
-        rows += [("-", r, q, l) for r, q, l in
-                 stranded.reverse_in_forward_coords()]
+        strands = [
+            ("+", stranded.forward.array),
+            ("-", stranded.reverse_in_forward_coords()),
+        ]
     else:
         params = GpuMemParams(min_length=args.min_length, **common)
         matcher = GpuMem(params, tracer=tracer)
         result = matcher.find_mems(reference, query)
         stats = matcher.stats
-        rows = [("+", r, q, l) for r, q, l in result]
+        strands = [("+", result.array)]
 
     if args.paf:
         from repro.sequence.formats import PafRecord, write_paf
@@ -234,19 +248,20 @@ def cmd_match(args) -> int:
                 n_match=length, alignment_len=length, mapq=255,
                 tags=("tp:A:P", f"cg:Z:{length}M"),
             )
-            for strand, r, q, length in rows
+            for strand, mems in strands
+            for r, q, length in mems.tolist()
         ]
         print(write_paf(records), end="")
     else:
-        for strand, r, q, length in rows:
-            prefix = f"{strand}\t" if args.both_strands else ""
-            print(f"{prefix}{r + 1}\t{q + 1}\t{length}")
+        for strand, mems in strands:
+            _write_mems(mems, f"{strand}\t" if args.both_strands else "")
     if args.verbose:
+        flat = stats.to_dict()
         for key in ("index_time", "match_time", "host_merge_time", "total_time",
                     "sim_total_seconds"):
-            if key in stats:
-                print(f"# {key}: {stats[key]:.4f}s", file=sys.stderr)
-        print(f"# matches: {len(rows)}", file=sys.stderr)
+            if key in flat:
+                print(f"# {key}: {flat[key]:.4f}s", file=sys.stderr)
+        print(f"# matches: {sum(mems.size for _, mems in strands)}", file=sys.stderr)
         _print_store_stats(store)
     _emit_observability(args, tracer)
     return 0
@@ -560,6 +575,7 @@ def cmd_profile(args) -> int:
     from repro.core.simulated import simulated_find_mems
     from repro.gpu.kernel import Device
     from repro.gpu.profiler import profile_device
+    from repro.types import MatchSet
 
     reference = _read_single_fasta(args.reference, args.invalid)
     query = _read_single_fasta(args.query, args.invalid)
@@ -575,7 +591,7 @@ def cmd_profile(args) -> int:
         reference, query, params, device=dev, tracer=tracer
     )
     print(profile_device(dev).format(), end="")
-    print(f"\nmatches: {int(mems.size)}  "
+    print(f"\nmatches: {len(MatchSet(mems))}  "
           f"sim total: {stats['sim_total_seconds']:.6f}s  "
           f"kernel launches: {stats['kernel_launches']}")
     _emit_observability(args, tracer)

@@ -8,6 +8,11 @@ diagonal chain-combine, each combined triplet is *re-extended to global
 maximality*, because a MEM crossing a tile border may have had no aligned
 sampled seed inside one of the tiles it crosses, leaving that fragment
 missing from the chain.
+
+The merge does not deduplicate its output. Duplicate fragments fall into one
+chain, but two chains on one diagonal whose gap turns out to match re-extend
+to the same MEM; :class:`repro.types.MatchSet` removes that copy along with
+every other (the one dedup point of a MEM set).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index.compare import common_prefix_len, common_suffix_len
-from repro.types import empty_triplets, make_triplets, unique_mems
+from repro.types import empty_triplets, make_triplets
 
 
 def combine_diagonal(triplets: np.ndarray) -> np.ndarray:
@@ -76,7 +81,10 @@ def finalize_mems(
     combined: np.ndarray,
     min_length: int,
 ) -> np.ndarray:
-    """Re-extend combined triplets to global maximality, dedup, filter."""
+    """Re-extend combined triplets to global maximality and filter by length.
+
+    Chains that re-extend to the same MEM each yield a copy of it.
+    """
     if combined.size == 0:
         return empty_triplets()
     r = combined["r"]
@@ -85,8 +93,7 @@ def finalize_mems(
     le = common_suffix_len(reference, query, r, q)
     re = common_prefix_len(reference, query, r + length, q + length)
     full = make_triplets(r - le, q - le, length + le + re)
-    full = full[full["length"] >= min_length]
-    return unique_mems(full)
+    return full[full["length"] >= min_length]
 
 
 def host_merge(
@@ -95,6 +102,10 @@ def host_merge(
     out_tile_triplets: np.ndarray,
     min_length: int,
 ) -> np.ndarray:
-    """The complete host stage: diagonal combine → re-extend → dedup/filter."""
+    """The complete host stage: diagonal combine → re-extend → filter.
+
+    Repeated fragments are absorbed by the combine, so
+    ``host_merge(f) == host_merge(concat(f, f))``.
+    """
     combined = combine_diagonal(out_tile_triplets)
     return finalize_mems(reference, query, combined, min_length)

@@ -18,13 +18,10 @@ Two backends:
 from __future__ import annotations
 
 from repro.core.params import GpuMemParams
-from repro.core.pipeline import PipelineStats, as_codes
+from repro.core.pipeline import PipelineStats
 from repro.core.session import MemSession
 from repro.obs.tracer import Tracer, get_tracer
 from repro.types import MatchSet
-
-#: Backwards-compatible alias — historical internal name, imported widely.
-_as_codes = as_codes
 
 
 class GpuMem:

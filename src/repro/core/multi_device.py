@@ -101,9 +101,8 @@ def find_mems_multi_device(
 
     device_seconds = [share.seconds for share in shares]
     merge_seconds = pstats.host_merge_time
-    stats = {
+    band_stats = {
         "n_devices": n_devices,
-        "n_rows": pstats.n_rows,
         "rows_per_device": [len(share.rows) for share in shares],
         "device_seconds": device_seconds,
         "merge_seconds": merge_seconds,
@@ -116,7 +115,5 @@ def find_mems_multi_device(
             tracer.metrics.histogram(
                 "executor.band_seconds", device=str(share.device_id)
             ).observe(share.seconds)
-    mems = MatchSet(triplets, stats=pstats)
-    mems.stats.update(stats)
-    mems.stats["max_device_seconds"] = max(device_seconds, default=0.0)
-    return mems, stats
+    pstats.extra.update(band_stats, max_device_seconds=max(device_seconds, default=0.0))
+    return MatchSet(triplets, stats=pstats), {"n_rows": pstats.n_rows, **band_stats}

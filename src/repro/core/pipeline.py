@@ -18,8 +18,12 @@ thread pool of ``params.workers`` threads (the NumPy kernels release the
 GIL); :mod:`repro.core.multi_device` hands in its own banded row mapper.
 Process parallelism lives one level up, over whole queries
 (:mod:`repro.core.procpool`). All per-run bookkeeping lives in the typed
-:class:`PipelineStats`, which also behaves as a read/write mapping so the
-historical ``stats["key"]`` consumers keep working unchanged.
+:class:`PipelineStats`.
+
+The pipeline returns raw triplets: a MEM may appear more than once (several
+seeds inside one in-tile MEM, several chains re-extending to one crossing
+MEM). :class:`repro.types.MatchSet` is the one place that deduplicates and
+sorts them.
 
 Observability: pass ``tracer=`` (a :class:`repro.obs.Tracer`) to record
 ``stage:prep`` / ``stage:row_index`` / ``stage:tile_match`` /
@@ -33,7 +37,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,13 +63,16 @@ def as_codes(seq) -> np.ndarray:
 class PipelineStats:
     """Typed per-run statistics of one pipeline execution.
 
-    Replaces the ad-hoc stats dicts the matcher, index timer, and
-    multi-device path each used to assemble. Field names intentionally
-    match the historical dict keys, and the class implements the mapping
-    protocol (``stats["index_time"]``, ``dict(stats)``, ``stats.update``)
-    so existing consumers — CLI, benchmarks, tests — read it unchanged.
-    Keys with no typed field (``sim_*`` of the simulated backend, band
-    details of the multi-device path, variant tags, …) live in :attr:`extra`.
+    Field names match the historical dict keys, and ``stats["index_time"]``
+    reads a field or, failing that, an :attr:`extra` entry: keys with no
+    typed field (``sim_*`` of the simulated backend, band details of the
+    multi-device path, variant tags, …). Writers set attributes or
+    :attr:`extra` entries directly. :meth:`to_dict` / :meth:`from_dict` are
+    the flat wire form worker processes send back to the parent.
+
+    ``n_in_tile``, ``n_out_tile_fragments`` and ``n_crossing_mems`` count
+    triplets before the :class:`~repro.types.MatchSet` dedup; the MEM count
+    of a run is ``len(result)``.
     """
 
     backend: str = "vectorized"
@@ -82,6 +89,8 @@ class PipelineStats:
     index_time: float = 0.0
     match_time: float = 0.0
     host_merge_time: float = 0.0
+    #: Wall seconds of the run; :meth:`MemSession.find_mems` adds the
+    #: seconds of the ``MatchSet`` dedup that ends it.
     total_time: float = 0.0
     max_index_bytes: int = 0
     max_index_locs: int = 0
@@ -95,69 +104,28 @@ class PipelineStats:
     params: str = ""
     extra: dict = field(default_factory=dict)
 
-    # -- mapping protocol ----------------------------------------------------
     def __getitem__(self, key: str):
-        if key in self._field_names():
+        if key in _STATS_FIELDS:
             return getattr(self, key)
         return self.extra[key]
 
-    def __setitem__(self, key: str, value) -> None:
-        if key in self._field_names():
-            setattr(self, key, value)
-        else:
-            self.extra[key] = value
-
-    def __contains__(self, key) -> bool:
-        return key in self._field_names() or key in self.extra
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self._field_names()
-        yield from self.extra
-
-    def __len__(self) -> int:
-        return len(self._field_names()) + len(self.extra)
-
-    def keys(self):
-        """All stat names: typed fields first, then extras."""
-        return list(self)
-
-    def items(self):
-        """``(name, value)`` pairs over fields and extras."""
-        return [(key, self[key]) for key in self]
-
-    def get(self, key, default=None):
-        """Mapping-style lookup with a default."""
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def update(self, other=(), **kwargs) -> None:
-        """Merge a mapping/pairs into the stats (dict.update semantics)."""
-        items = other.items() if hasattr(other, "items") else other
-        for key, value in items:
-            self[key] = value
-        for key, value in kwargs.items():
-            self[key] = value
-
     def to_dict(self) -> dict:
         """Flatten into a plain dict (typed fields + extras)."""
-        return {key: self[key] for key in self}
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "PipelineStats":
-        """Lift a legacy stats dict; unknown keys land in :attr:`extra`."""
-        out = cls()
-        out.update(mapping)
+        out = {name: getattr(self, name) for name in _STATS_FIELDS}
+        out.update(self.extra)
         return out
 
     @classmethod
-    def _field_names(cls) -> tuple[str, ...]:
-        names = getattr(cls, "_field_names_cache", None)
-        if names is None:
-            names = tuple(f.name for f in fields(cls) if f.name != "extra")
-            cls._field_names_cache = names
-        return names
+    def from_dict(cls, mapping: dict) -> "PipelineStats":
+        """Inverse of :meth:`to_dict`; unknown keys land in :attr:`extra`."""
+        return cls(
+            **{key: value for key, value in mapping.items() if key in _STATS_FIELDS},
+            extra={key: value for key, value in mapping.items() if key not in _STATS_FIELDS},
+        )
+
+
+#: The typed fields of :class:`PipelineStats`, in declaration order.
+_STATS_FIELDS = tuple(f.name for f in fields(PipelineStats) if f.name != "extra")
 
 
 @dataclass

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.matcher import GpuMem, _as_codes
+from repro.core.matcher import GpuMem
+from repro.core.pipeline import as_codes
 from repro.errors import InvalidParameterError
 from repro.types import MatchSet
 
@@ -38,9 +39,9 @@ def _normalize(records) -> list[tuple[str, np.ndarray]]:
         if hasattr(rec, "header") and hasattr(rec, "codes"):  # FastaRecord
             out.append((rec.header, np.asarray(rec.codes, dtype=np.uint8)))
         elif isinstance(rec, tuple) and len(rec) == 2:
-            out.append((str(rec[0]), _as_codes(rec[1])))
+            out.append((str(rec[0]), as_codes(rec[1])))
         else:
-            out.append((f"seq{i}", _as_codes(rec)))
+            out.append((f"seq{i}", as_codes(rec)))
     return out
 
 

@@ -20,6 +20,8 @@ forward-strand positions.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.pipeline import as_codes
@@ -27,7 +29,7 @@ from repro.core.session import MemSession
 from repro.errors import InvalidParameterError
 from repro.index.matching import SuffixArraySearcher
 from repro.sequence.alphabet import reverse_complement
-from repro.types import MatchSet
+from repro.types import MatchSet, make_triplets
 
 
 def occurrence_counts(
@@ -72,16 +74,16 @@ def find_rare_mems(
     query = as_codes(query)
     session = MemSession(reference, min_length=min_length, **kwargs)
     mems = session.find_mems(query)
+    stats = replace(mems.stats, extra={
+        **mems.stats.extra,
+        "variant": f"rare(max_ref={max_ref_occurrences}, max_query={max_query_occurrences})",
+        "n_mems_prefilter": len(mems),
+    })
     if len(mems) == 0:
-        return mems
+        return MatchSet(mems.array, stats=stats)
     in_ref, in_qry = occurrence_counts(mems, reference, query)
     keep = (in_ref <= max_ref_occurrences) & (in_qry <= max_query_occurrences)
-    out = MatchSet(mems.array[keep], stats=session.stats.to_dict())
-    out.stats["variant"] = (
-        f"rare(max_ref={max_ref_occurrences}, max_query={max_query_occurrences})"
-    )
-    out.stats["n_mems_prefilter"] = len(mems)
-    return out
+    return MatchSet(mems.array[keep], stats=stats)
 
 
 def find_mums(reference, query, min_length: int, **kwargs) -> MatchSet:
@@ -96,7 +98,7 @@ def find_mums(reference, query, min_length: int, **kwargs) -> MatchSet:
         reference, query, min_length,
         max_ref_occurrences=1, max_query_occurrences=1, **kwargs,
     )
-    out.stats["variant"] = "mum"
+    out.stats.extra["variant"] = "mum"
     return out
 
 
@@ -115,12 +117,11 @@ class StrandedMems:
         self.reverse = reverse
         self.n_query = int(n_query)
 
-    def reverse_in_forward_coords(self) -> list[tuple[int, int, int]]:
-        """Reverse-strand matches as ``(r, forward-strand q start, length)``."""
-        out = []
-        for r, q_rc, length in self.reverse:
-            out.append((r, self.n_query - q_rc - length, length))
-        return out
+    def reverse_in_forward_coords(self) -> np.ndarray:
+        """Reverse-strand matches as ``(r, forward-strand q start, length)``
+        triplets, in the order of :attr:`reverse`."""
+        rev = self.reverse.array
+        return make_triplets(rev["r"], self.n_query - rev["q"] - rev["length"], rev["length"])
 
     def total(self) -> int:
         """Matches across both strands."""

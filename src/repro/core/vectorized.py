@@ -107,6 +107,11 @@ def extend_and_classify(
       MEMs (already globally maximal — reads cross the border, so a
       mismatch is a real mismatch); touching triplets go to the host stage
       whatever their length (DESIGN.md §5 note 1).
+
+    Both outputs keep one triplet per candidate, so a MEM holding several
+    seeds appears several times; :class:`repro.types.MatchSet` drops the
+    copies (in-tile) and the host merge's chain combine absorbs them
+    (out-tile).
     """
     n_cand = r.size
     if n_cand == 0:
@@ -134,10 +139,6 @@ def extend_and_classify(
 
     in_tile = trips[~touching & (length >= min_length)]
     out_tile = trips[touching]
-    if in_tile.size:
-        in_tile = np.unique(in_tile)
-    if out_tile.size:
-        out_tile = np.unique(out_tile)
     return TileStageResult(in_tile=in_tile, out_tile=out_tile, n_candidates=n_cand)
 
 

@@ -65,10 +65,22 @@ def sort_mems(mems: np.ndarray) -> np.ndarray:
 
 
 def unique_mems(mems: np.ndarray) -> np.ndarray:
-    """Drop exact duplicate triplets; returns diagonal-sorted output."""
-    if mems.size == 0:
-        return mems.copy()
-    return sort_mems(np.unique(mems))
+    """The canonical form of a MEM set: duplicates dropped, sorted by
+    ``(r - q, q, length)`` (the §III-C1 diagonal order).
+
+    This is the one deduplication of a MEM set; :class:`MatchSet` applies it
+    to whatever the producing path hands over. The result never aliases
+    the input.
+    """
+    diag = mems["r"] - mems["q"]
+    q = mems["q"]
+    length = mems["length"]
+    order = np.lexsort((length, q, diag))
+    diag, q, length = diag[order], q[order], length[order]
+    keep = np.ones(order.size, dtype=bool)
+    # (diag, q) fixes r, so these three keys identify a triplet.
+    keep[1:] = (diag[1:] != diag[:-1]) | (q[1:] != q[:-1]) | (length[1:] != length[:-1])
+    return mems[order[keep]]
 
 
 def mems_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -82,6 +94,13 @@ class MatchSet:
     This is the object returned by the public matchers. It behaves like a
     sequence of ``(r, q, length)`` tuples and exposes the underlying
     structured array as :attr:`array` for vectorized consumers.
+
+    Construction is the single point where a MEM set is deduplicated and
+    sorted (:func:`unique_mems`). Every extraction path — session, matcher,
+    multi-device, simulated backend, process-tier rebuild, variants and the
+    CPU baselines — hands its raw triplets here; the stages upstream may
+    emit the same MEM more than once (several seeds inside one MEM, several
+    chains re-extending to one crossing MEM).
     """
 
     def __init__(self, triplets: np.ndarray, *, stats=None):
@@ -91,8 +110,8 @@ class MatchSet:
         #: Pipeline statistics: a typed
         #: :class:`repro.core.pipeline.PipelineStats` (kept by reference, so
         #: the producing matcher and the result expose the same object) or a
-        #: plain dict (copied) for ad-hoc annotations. Both support the
-        #: mapping protocol.
+        #: plain dict (copied) for ad-hoc annotations. Both support
+        #: ``stats[key]`` lookup.
         if stats is None:
             self.stats = {}
         elif isinstance(stats, dict):
@@ -120,7 +139,7 @@ class MatchSet:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MatchSet):
-            return mems_equal(self._array, other._array)
+            return np.array_equal(self._array, other._array)
         return NotImplemented
 
     def __hash__(self):  # pragma: no cover - MatchSets are not hashable

@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.combine import chain_merge_expected
 from repro.core.host_merge import combine_diagonal, finalize_mems, host_merge
-from repro.types import triplets_from_tuples
+from repro.core.params import GpuMemParams
+from repro.core.pipeline import Pipeline
+from repro.types import MatchSet, concat_triplets, triplets_from_tuples
+
+from tests.conftest import dna_pair
 
 
 class TestCombineDiagonal:
@@ -115,11 +119,14 @@ class TestFinalize:
         assert finalize_mems(R, Q, frag, 2).size == 1
 
     def test_duplicates_collapse(self):
+        # Both fragments re-extend to the full MEM; the copies collapse in
+        # MatchSet, the one dedup point.
         R = np.zeros(5, dtype=np.uint8)
         Q = np.zeros(5, dtype=np.uint8)
         frags = triplets_from_tuples([(1, 1, 2), (2, 2, 2)])
         out = finalize_mems(R, Q, frags, 1)
-        assert [tuple(map(int, m)) for m in out] == [(0, 0, 5)]
+        assert out.tolist() == [(0, 0, 5), (0, 0, 5)]
+        assert MatchSet(out).as_tuples() == [(0, 0, 5)]
 
     def test_empty(self):
         R = np.zeros(3, dtype=np.uint8)
@@ -135,7 +142,9 @@ class TestHostMerge:
         # fragments from two tiles, middle tile's fragment missing
         frags = triplets_from_tuples([(0, 0, 3), (9, 9, 3)])
         out = host_merge(R, Q, frags, 5)
-        assert [tuple(map(int, m)) for m in out] == [(0, 0, 12)]
+        # both chains re-extend to the whole MEM; MatchSet keeps one copy
+        assert set(out.tolist()) == {(0, 0, 12)}
+        assert MatchSet(out).as_tuples() == [(0, 0, 12)]
 
     def test_distinct_mems_stay_distinct(self):
         R = np.array([0, 1, 2, 3, 3, 2, 1, 0], dtype=np.uint8)
@@ -143,3 +152,22 @@ class TestHostMerge:
         frags = triplets_from_tuples([(0, 0, 3), (5, 5, 3)])
         out = host_merge(R, Q, frags, 2)
         assert {tuple(map(int, m)) for m in out} == {(0, 0, 3), (5, 5, 3)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(dna_pair(max_size=120))
+    def test_repeated_fragments_are_absorbed(self, pair):
+        """Duplicate out-tile fragments fall into one chain of the combine,
+        so the merge needs no dedup of its input."""
+        R, Q = pair
+        pipeline = Pipeline(
+            GpuMemParams(min_length=5, seed_length=3, threads_per_block=4, blocks_per_tile=2)
+        )
+        plan = pipeline.plan_for(R.size, Q.size)
+        query_kmers = pipeline.prep.run(Q)
+        frags = concat_triplets(
+            pipeline.process_row(R, Q, query_kmers, plan, row).out_tile
+            for row in range(plan.n_rows)
+        )
+        once = host_merge(R, Q, frags, 5)
+        twice = host_merge(R, Q, concat_triplets([frags, frags[::-1]]), 5)
+        assert twice.tobytes() == once.tobytes()

@@ -48,7 +48,7 @@ class TestPublicApi:
         result = m.find_mems(R, Q)
         for key in ("index_time", "match_time", "host_merge_time", "total_time",
                     "n_tiles", "n_candidates", "max_index_bytes"):
-            assert key in m.stats
+            assert m.stats[key] == getattr(m.stats, key)
         assert m.stats == result.stats
 
     def test_index_only_positive(self):

@@ -3,20 +3,26 @@
 The staged pipeline promises that *how* the independent tile rows run —
 one after another (the seed behaviour), on row threads, banded across
 model devices, on the simulated SIMT backend, against a warm session cache
-or the persistent index store, or whole queries shipped to worker
-processes — never changes *what* is extracted. This suite pins that
-promise on random and adversarial inputs, always cross-checked against the
-independent ``brute_force_mems`` oracle.
+or the persistent index store, whole queries shipped to worker processes,
+or the ``gpumem match`` command line — never changes *what* is extracted.
+This suite pins that promise on random and adversarial inputs, always
+cross-checked byte for byte against the independent ``brute_force_mems``
+oracle. No path's output is deduplicated here: a path that skipped the one
+dedup point (:class:`repro.types.MatchSet`) would show.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import (
     BatchRunner,
     GpuMem,
@@ -30,7 +36,8 @@ from repro.core import (
 )
 from repro.core.multi_device import find_mems_multi_device
 from repro.index.store import IndexStore
-from repro.types import mems_equal, unique_mems
+from repro.sequence.fasta import write_fasta
+from repro.types import make_triplets, mems_equal
 
 from tests.conftest import dna_pair
 
@@ -51,7 +58,7 @@ def _params(**overrides) -> GpuMemParams:
 def _all_paths(
     reference: np.ndarray, query: np.ndarray, *, processes: bool = False
 ) -> dict[str, np.ndarray]:
-    """Triplets from every supported execution path.
+    """Triplets from every supported execution path, the CLI included.
 
     ``processes`` adds the query-level process tiers (``BatchRunner`` and
     ``MemServer``); they pay a spawn, so only the fixed adversarial cases
@@ -84,6 +91,7 @@ def _all_paths(
         warm_store.clear_hot()
     mems, _ = find_mems_multi_device(reference, query, _params(), n_devices=3)
     out["multi-device"] = mems.array
+    out.update(_cli_paths(reference, query))
     if processes:
         runner = BatchRunner(
             reference, _params(), tier="process", workers=PROC_WORKERS
@@ -100,12 +108,41 @@ def _all_paths(
     return out
 
 
+def _cli_paths(reference: np.ndarray, query: np.ndarray) -> dict[str, np.ndarray]:
+    """``gpumem match`` plain, ``--per-record`` and ``--batch``.
+
+    Each run writes to a file, which is parsed back into triplets (shifted
+    to 0-based) in the order the command printed them. The command line has
+    no tiling options, so these paths run the default tile geometry.
+    """
+    out: dict[str, np.ndarray] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_fa, qry_fa, out_txt = (
+            os.path.join(tmp, name) for name in ("ref.fa", "qry.fa", "out.txt")
+        )
+        write_fasta(ref_fa, [("ref", reference)])
+        write_fasta(qry_fa, [("qry", query)])
+        args = ["match", ref_fa, qry_fa, "-l", str(L), "-s", str(SMALL["seed_length"])]
+        for name, flags in (
+            ("cli", []), ("cli-per-record", ["--per-record"]), ("cli-batch", ["--batch"]),
+        ):
+            with open(out_txt, "w") as fh, contextlib.redirect_stdout(fh):
+                assert main(args + flags) == 0
+            with open(out_txt) as fh:
+                rows = [
+                    [int(x) for x in line.split("\t")]
+                    for line in fh if not line.startswith(">")
+                ]
+            cols = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            out[name] = make_triplets(cols[:, 0] - 1, cols[:, 1] - 1, cols[:, 2])
+    return out
+
+
 def _assert_all_equal(reference, query, paths: dict[str, np.ndarray]) -> None:
-    oracle = unique_mems(brute_force_mems(reference, query, L))
+    oracle = brute_force_mems(reference, query, L)
     for name, arr in paths.items():
-        got = unique_mems(arr)
-        assert got.tobytes() == oracle.tobytes(), (
-            f"{name} diverged: {got.size} vs oracle {oracle.size} MEMs"
+        assert arr.tobytes() == oracle.tobytes(), (
+            f"{name} diverged: {arr.size} vs oracle {oracle.size} MEMs"
         )
 
 
@@ -240,10 +277,10 @@ class TestPipelineStatsContract:
     def test_matcher_stats_defined_before_first_call(self):
         g = GpuMem(_params())
         assert isinstance(g.stats, PipelineStats)
-        # historical dict-style access works on the zeroed stats too
+        # stats["key"] reads work on the zeroed stats too
         assert g.stats["n_tiles"] == 0
         assert g.stats["total_time"] == 0.0
-        assert "index_time" in g.stats
+        assert g.stats["index_time"] == 0.0
 
     def test_matchset_exposes_same_stats_object(self):
         R = (np.arange(200) % 4).astype(np.uint8)
@@ -253,17 +290,23 @@ class TestPipelineStatsContract:
         assert result.stats["n_rows"] == result.stats.n_rows >= 1
 
     def test_mapping_protocol_roundtrip(self):
-        stats = PipelineStats(n_tiles=7)
-        stats["custom"] = "x"
-        stats["n_candidates"] = 3
-        as_dict = dict(stats)
+        """What stays of the mapping shim: ``stats[key]`` reads (fields,
+        then extras) and the flat ``to_dict`` / ``from_dict`` wire form."""
+        stats = PipelineStats(n_tiles=7, n_candidates=3, extra={"custom": "x"})
+        assert stats["n_tiles"] == 7
+        assert stats["custom"] == "x"
+        with pytest.raises(KeyError):
+            _ = stats["missing"]
+        as_dict = stats.to_dict()
         assert as_dict["n_tiles"] == 7
         assert as_dict["custom"] == "x"
-        assert stats.n_candidates == 3
-        assert stats.get("missing", 42) == 42
+        assert "extra" not in as_dict
         back = PipelineStats.from_dict(as_dict)
-        assert back.n_tiles == 7
-        assert back.extra["custom"] == "x"
+        assert back == stats
+        assert back.extra == {"custom": "x"}
+        for gone in ("__setitem__", "__contains__", "__iter__", "__len__",
+                     "keys", "items", "get", "update"):
+            assert not hasattr(PipelineStats, gone), gone
 
     def test_executor_recorded(self):
         """How the rows ran (the row-thread count) lands in the stats."""

@@ -160,7 +160,7 @@ class TestBothStrands:
         R = repro.encode("ACGTACGTAC")
         Q = reverse_complement(R)  # pure reverse-complement query
         res = find_mems_both_strands(R, Q, min_length=10, seed_length=4)
-        mapped = res.reverse_in_forward_coords()
+        mapped = res.reverse_in_forward_coords().tolist()
         assert (0, 0, 10) in mapped
         # and the forward strand has only spurious/short matches
         assert all(l < 10 for _, _, l in res.forward)

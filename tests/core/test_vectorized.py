@@ -3,6 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.params import GpuMemParams
+from repro.core.pipeline import Pipeline
+from repro.core.reference import brute_force_mems
 from repro.core.tiling import Tile
 from repro.core.vectorized import (
     expand_ranges,
@@ -12,6 +15,7 @@ from repro.core.vectorized import (
 )
 from repro.index.kmer_index import build_kmer_index
 from repro.sequence.packed import kmer_codes
+from repro.types import MatchSet
 
 from tests.conftest import dna
 
@@ -134,13 +138,19 @@ class TestExtendAndClassify:
         assert res.out_tile.size == 1  # kept although λ << min_length
 
     def test_deduplication(self):
-        # two seed hits inside the same MEM give identical triplets
+        # Two seed hits inside the same MEM give identical triplets. The
+        # stage keeps both; MatchSet, the one dedup point, keeps one.
         R = np.array([0, 1, 0, 1, 2], dtype=np.uint8)
         Q = np.array([0, 1, 0, 1, 3], dtype=np.uint8)
         res = extend_and_classify(
             R, Q, full_tile(5, 5), np.array([0, 2]), np.array([0, 2]), 2, 2
         )
-        assert res.in_tile.size == 1
+        assert res.in_tile.tolist() == [(0, 0, 4), (0, 0, 4)]
+        triplets, _ = Pipeline(GpuMemParams(min_length=2, seed_length=2)).run(R, Q)
+        assert triplets.tolist().count((0, 0, 4)) > 1
+        mems = MatchSet(triplets)
+        assert mems.as_tuples().count((0, 0, 4)) == 1
+        assert mems.array.tobytes() == brute_force_mems(R, Q, 2).tobytes()
 
     def test_empty_candidates(self):
         R = np.zeros(4, dtype=np.uint8)

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import MEM_WRITE_CHUNK, _write_mems, main
 from repro.sequence.fasta import write_fasta
 from repro.sequence.synthetic import markov_dna, plant_homology
+from repro.types import empty_triplets, make_triplets
 
 
 @pytest.fixture
@@ -80,6 +82,24 @@ class TestMatchVariants:
         for line in out.splitlines():
             if line.strip():
                 assert line.split("\t")[0] in "+-"
+
+
+class TestMemWriter:
+    @pytest.mark.parametrize("prefix", ["", "+\t", "-\t"])
+    def test_chunks_match_per_mem_lines(self, prefix, capsys):
+        # one full chunk plus a partial one
+        rng = np.random.default_rng(0)
+        n = MEM_WRITE_CHUNK + 3
+        mems = make_triplets(
+            rng.integers(0, 10**9, n), rng.integers(0, 10**6, n), rng.integers(1, 500, n)
+        )
+        _write_mems(mems, prefix)
+        expect = "".join(f"{prefix}{r + 1}\t{q + 1}\t{l}\n" for r, q, l in mems.tolist())
+        assert capsys.readouterr().out == expect
+
+    def test_empty_writes_nothing(self, capsys):
+        _write_mems(empty_triplets(), "+\t")
+        assert capsys.readouterr().out == ""
 
 
 class TestPerRecord:

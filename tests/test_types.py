@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.types import (
     TRIPLET_DTYPE,
@@ -58,6 +60,26 @@ class TestSorting:
     def test_unique_drops_duplicates(self):
         t = make_triplets([1, 1, 2], [1, 1, 2], [3, 3, 3])
         assert unique_mems(t).size == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 4)),
+            max_size=40,
+        ).flatmap(lambda rows: st.permutations(rows + rows[: len(rows) // 2]))
+    )
+    def test_unique_equals_structured_unique_then_diagonal_sort(self, rows):
+        """The one canonicalization reproduces the formula it replaced
+        (structured ``np.unique``, then the diagonal sort) byte for byte."""
+        mems = triplets_from_tuples(rows)
+        old = sort_mems(np.unique(mems)) if mems.size else mems.copy()
+        assert unique_mems(mems).tobytes() == old.tobytes()
+
+    def test_canonical_input_is_returned_as_a_copy(self):
+        canonical = unique_mems(make_triplets([5, 1, 3, 3], [1, 1, 2, 2], [2, 2, 2, 4]))
+        again = unique_mems(canonical)
+        assert again.tobytes() == canonical.tobytes()
+        assert not np.shares_memory(again, canonical)
 
     def test_mems_equal_order_insensitive(self):
         a = make_triplets([1, 2], [1, 2], [3, 3])
